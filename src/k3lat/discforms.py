@@ -1,14 +1,19 @@
 """Discriminant groups A_M = M*/M with their finite quadratic forms.
 
-For an even nondegenerate lattice M the Smith normal form of the Gram matrix
-gives A_M as a product of cyclic groups together with dual-vector lifts of its
-generators.  q is evaluated as x.x mod 2Z on the lifts and the bilinear form b
-as x.y mod Z; values are kept as canonical Fractions in [0,2) and [0,1).
+For an even nondegenerate lattice M with Gram matrix G, the Smith normal form
+U*G*V = D gives A_M as a product of cyclic groups Z/d_i, and since
+G^-1 U^-1 = V D^-1 generator i lifts to the dual vector (column i of V)/d_i.
+Let e be the common denominator of the lifts (the largest invariant factor).
+The form keeps the integer pairing P = e^2 * b(g_i, g_j) of the integral
+vectors e*g_i, so q(x) = sum x_i x_j P_ij / e^2 mod 2Z and b(x, y) = sum x_i
+y_j P_ij / e^2 mod Z are sums of ints.  Each value is returned as one canonical
+Fraction, in [0, 2) for q and in [0, 1) for b.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,18 +30,30 @@ _HISTOGRAM_BOUND = 2 ** 16
 
 
 class FiniteQuadraticForm:
-    """The discriminant form (A_M, q) of an even nondegenerate lattice."""
+    """The discriminant form (A_M, q) of an even nondegenerate lattice.
 
-    def __init__(self, parent: Lattice, factors, generators):
+    ``coordinates`` holds one integer row per generator: the class of a dual
+    vector w has residue (row . G w) mod d_i, as the nontrivial rows of U in
+    the Smith form U*G*V = D give.  A form built without them evaluates q and
+    b but cannot classify dual vectors.
+    """
+
+    def __init__(self, parent: Lattice, factors, generators, coordinates=None):
         self.parent = parent
         self.invariant_factors = tuple(int(d) for d in factors)
         self.generators = tuple(tuple(Fraction(c) for c in g) for g in generators)
-        self.order = 1
-        for d in self.invariant_factors:
-            self.order *= d
-        gram = parent.gram_rows()
+        self.order = math.prod(self.invariant_factors)
+        self._coordinates = (
+            None if coordinates is None else [list(map(int, row)) for row in coordinates]
+        )
+        den = math.lcm(*(c.denominator for g in self.generators for c in g))
+        scaled = [[int(c * den) for c in g] for g in self.generators]
+        self._den2 = den * den
+        # P = den^2 * b(g_i, g_j); only P mod den^2 (2 den^2 on the diagonal) matters
+        pair = linalg.pairing_matrix(scaled, parent.gram_rows())
         self._pair = [
-            [linalg.dot(g, h, gram) for h in self.generators] for g in self.generators
+            [x % (2 * self._den2 if i == j else self._den2) for j, x in enumerate(row)]
+            for i, row in enumerate(pair)
         ]
 
     # -- element bookkeeping ------------------------------------------------
@@ -71,39 +88,41 @@ class FiniteQuadraticForm:
 
     def element_of(self, dual_vector) -> DiscElement:
         """Class of a dual vector (pairs integrally with M) in A_M."""
+        if self._coordinates is None:
+            raise UnsupportedError("this form was built without coordinate rows")
         w = [Fraction(v) for v in dual_vector]
-        gw = linalg.mat_vec(self.parent.gram_rows(), w)
-        if any(x.denominator != 1 for x in gw):
+        den = math.lcm(*(x.denominator for x in w))
+        gw = linalg.mat_vec(self.parent.gram_rows(), [int(x * den) for x in w])
+        if any(x % den for x in gw):
             raise BadInputError("vector does not pair integrally with the lattice")
-        coords = linalg.mat_vec(self._umat, [int(x) for x in gw])
-        full = [int(c) % d for c, d in zip(coords, self._all_factors)]
-        return self.reduce(
-            full[i] for i in self._nontrivial_indices
-        )
+        gw = [x // den for x in gw]
+        return self.reduce(linalg.mat_vec(self._coordinates, gw))
 
     # -- forms ---------------------------------------------------------------
 
     def q(self, x: DiscElement) -> Fraction:
         """Quadratic form value in Q/2Z, reduced into [0, 2)."""
-        total = Fraction(0)
+        pair = self._pair
         k = len(x)
+        total = 0
         for i in range(k):
-            if x[i]:
-                total += x[i] * x[i] * self._pair[i][i]
+            xi = x[i]
+            if xi:
+                row = pair[i]
+                cross = 0
                 for j in range(i + 1, k):
                     if x[j]:
-                        total += 2 * x[i] * x[j] * self._pair[i][j]
-        return total % 2
+                        cross += x[j] * row[j]
+                total += xi * (xi * row[i] + 2 * cross)
+        return Fraction(total % (2 * self._den2), self._den2)
 
     def b(self, x: DiscElement, y: DiscElement) -> Fraction:
         """Bilinear form value in Q/Z, reduced into [0, 1)."""
-        total = Fraction(0)
-        for i, ci in enumerate(x):
+        total = 0
+        for ci, row in zip(x, self._pair):
             if ci:
-                for j, cj in enumerate(y):
-                    if cj:
-                        total += ci * cj * self._pair[i][j]
-        return total % 1
+                total += ci * sum(cj * p for cj, p in zip(y, row) if cj)
+        return Fraction(total % self._den2, self._den2)
 
     def q_histogram(self) -> dict[Fraction, int]:
         if self.order > _HISTOGRAM_BOUND:
@@ -121,26 +140,11 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """Discriminant form of an even nondegenerate lattice via Smith normal form."""
     if not lattice.is_even:
         raise OddLatticeError("discriminant quadratic form needs an even lattice")
-    gram = lattice.gram_rows()
     n = lattice.rank
-    if n == 0:
-        form = FiniteQuadraticForm(lattice, (), ())
-        form._umat = []
-        form._all_factors = []
-        form._nontrivial_indices = []
-        return form
-    d, u, _v = linalg.smith_normal_form(gram)
-    all_factors = [abs(d[i][i]) for i in range(n)]
-    ginv = linalg.rational_inverse(gram)
-    uinv = linalg.rational_inverse(u)
-    lift_cols = linalg.mat_mul(ginv, uinv)  # column i lifts generator i
-    keep = [i for i in range(n) if all_factors[i] > 1]
-    gens = [[lift_cols[r][i] for r in range(n)] for i in keep]
-    form = FiniteQuadraticForm(lattice, [all_factors[i] for i in keep], gens)
-    form._umat = u
-    form._all_factors = all_factors
-    form._nontrivial_indices = keep
-    return form
+    d, u, v = linalg.smith_normal_form(lattice.gram_rows())
+    keep = [i for i in range(n) if d[i][i] > 1]
+    gens = [[Fraction(v[r][i], d[i][i]) for r in range(n)] for i in keep]
+    return FiniteQuadraticForm(lattice, [d[i][i] for i in keep], gens, [u[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +209,6 @@ def _closure(form: FiniteQuadraticForm, gens) -> frozenset:
     return frozenset(elems)
 
 
-def subgroup_generated_by(form: FiniteQuadraticForm, gens) -> IsotropicSubgroup:
-    elems = _closure(form, [form.reduce(g) for g in gens])
-    return IsotropicSubgroup(tuple(sorted(set(form.reduce(g) for g in gens))),
-                             tuple(sorted(elems)))
-
-
 def enumerate_isotropic_subgroups(form: FiniteQuadraticForm, order: int) -> list[IsotropicSubgroup]:
     """All subgroups of the given order on which q vanishes identically.
 
@@ -272,10 +270,14 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
     gtg = linalg.mat_mul(linalg.transpose(matrix), linalg.mat_mul(gram, matrix))
     if not linalg.mat_eq(gtg, gram):
         raise BadInputError("generator is not an isometry of the parent lattice")
+    images = [form.element_of(linalg.mat_vec(matrix, g)) for g in form.generators]
     table = {}
     for x in form.elements():
-        image = form.element_of(linalg.mat_vec(matrix, form.lift(x)))
-        table[x] = image
+        image = [0] * len(x)
+        for c, img in zip(x, images):
+            if c:
+                image = [a + c * b for a, b in zip(image, img)]
+        table[x] = form.reduce(image)
     for x, y in table.items():
         if form.q(x) != form.q(y):
             raise BadInputError("generator fails to preserve q on the discriminant group")

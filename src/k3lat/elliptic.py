@@ -19,13 +19,13 @@ irreducible factor divides both a and b) are detected and flagged
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import sympy
 
 from .errors import BadInputError, UnsupportedError
-from . import linalg
 from .discforms import lattice_fingerprint
 from .lattice import Lattice, direct_sum, hyperbolic_plane, nikulin, nikulin_node_coords
 
@@ -173,11 +173,9 @@ class RatPoly:
         """Integer-primitive representative with positive leading coefficient."""
         if self.is_zero:
             return self
-        denom = linalg.lcm_of([c.denominator for c in self.coeffs])
+        denom = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * denom) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _gcd(g, v)
+        g = math.gcd(*ints)
         ints = [v // g for v in ints]
         if ints[-1] < 0:
             ints = [-v for v in ints]
@@ -218,12 +216,6 @@ def _coerce(x) -> RatPoly:
     if isinstance(x, (int, Fraction)):
         return RatPoly([x])
     raise BadInputError(f"cannot treat {x!r} as a polynomial")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 _T = sympy.Symbol("t")

@@ -11,12 +11,13 @@ coordinate model of Gamma16(-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInputError, NonIsotropicGlueError, NotDualVectorError
 from . import linalg
-from .discforms import discriminant_form
+from .discforms import _closure, discriminant_form
 from .lattice import (
     Lattice,
     direct_sum,
@@ -73,16 +74,7 @@ def glue(data: GlueData) -> Overlattice:
 
     form = discriminant_form(base)
     classes = [form.element_of(list(v)) for v in data.glue_vectors]
-    subgroup = {form.zero()}
-    changed = True
-    while changed:
-        changed = False
-        for g in classes:
-            for e in list(subgroup):
-                s = form.add(e, g)
-                if s not in subgroup:
-                    subgroup.add(s)
-                    changed = True
+    subgroup = _closure(form, classes)
     for elem in sorted(subgroup):
         if form.q(elem) != 0:
             raise NonIsotropicGlueError(
@@ -95,9 +87,7 @@ def glue(data: GlueData) -> Overlattice:
         basis = tuple(tuple(Fraction(x) for x in row) for row in linalg.identity_matrix(n))
         return Overlattice(base, basis, ident, base, 1)
 
-    denom = linalg.lcm_of(
-        [c.denominator for v in data.glue_vectors for c in v] + [1]
-    )
+    denom = math.lcm(*(c.denominator for v in data.glue_vectors for c in v))
     rows = [[denom * x for x in row] for row in linalg.identity_matrix(n)]
     for v in data.glue_vectors:
         scaled = [c * denom for c in v]

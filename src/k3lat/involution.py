@@ -216,11 +216,10 @@ class QuotientCohomology:
             raise BadInputError("expected 22 coordinates")
         if any(x.denominator != 1 for x in ws[14:]):
             return False
-        basis = [list(row) for row in self.overlattice.basis_in_base]
-        binv = linalg.rational_inverse(basis)
-        coords = [
-            sum(ws[i] * binv[i][j] for i in range(14)) for j in range(14)
-        ]
+        # row i of the inclusion is e_i in the overlattice basis, so these are
+        # the overlattice coordinates of ws
+        inc = self.overlattice.inclusion
+        coords = [sum(ws[i] * inc[i][j] for i in range(14)) for j in range(14)]
         return all(c.denominator == 1 for c in coords)
 
     def pull_extended(self, w) -> list[int]:

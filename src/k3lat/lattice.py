@@ -1,9 +1,11 @@
 """Integral lattices with exact arithmetic.
 
 A lattice is a free Z-module of finite rank with a symmetric integer Gram
-matrix.  All invariants (determinant, signature, parity) are computed exactly;
-short-vector enumeration uses a rational Cholesky bound (Fincke-Pohst shape)
-with integer square roots, so results are complete and deterministic.
+matrix.  All invariants (determinant, signature, parity) are computed exactly.
+Short-vector enumeration is Fincke-Pohst: a rational Cholesky (LDL^T)
+decomposition, computed once and scaled once to integer rows over a common
+denominator, bounds each coordinate through integer square roots and integer
+floor/ceil, so results are complete and deterministic.
 
 Values are immutable after construction and every operation is pure, so
 concurrent reads are safe.
@@ -422,25 +424,13 @@ def sublattice_index(lattice: Lattice, vectors) -> int:
 # short vector enumeration
 
 
-def _integer_range(B: Fraction, S: Fraction) -> range:
-    """All integers x with (x + S)^2 <= B, via exact integer square roots."""
-    if B < 0:
-        return range(0)
-    p, q = B.numerator, B.denominator
-    a, b = S.numerator, S.denominator
-    # (x*b + a)^2 <= p*b^2/q  <=>  |x*b + a| <= isqrt(floor(p*b^2/q))
-    t = math.isqrt(p * b * b // q)
-    lo = -(-(-t - a) // b)  # ceil((-t - a) / b)
-    hi = (t - a) // b
-    return range(lo, hi + 1)
-
-
 def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ...]]:
     """All v with v.v = norm in a negative definite lattice, lex ordered.
 
     norm must be a negative even integer.  The list contains v and -v
     together; completeness comes from exact Fincke-Pohst style bounds on a
-    rational Cholesky decomposition of the positive form -gram.
+    rational Cholesky decomposition of the positive form -gram, scaled once
+    to integers so the search itself runs on ints.
     """
     if not lattice.is_negative_definite:
         raise NotDefiniteError("short vector enumeration needs a negative definite lattice")
@@ -448,7 +438,6 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
         raise BadInputError("norm must be a negative even integer")
     n = lattice.rank
     q = [[Fraction(-x) for x in row] for row in lattice.gram_rows()]
-    target = Fraction(-norm)
     # Fincke-Pohst preprocessing: q[i][i] and q[i][j] (j>i) describe
     # Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2.
     for i in range(n):
@@ -459,21 +448,37 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
         for k in range(i + 1, n):
             for l in range(k, n):
                 q[k][l] -= q[k][i] * q[i][l]
+    # Integer scaling: with den_i the common denominator of row i, a_ij =
+    # den_i q_ij and S the common denominator of the q_ii / den_i^2,
+    # S Q(x) = sum_i c_i (den_i x_i + sum_{j>i} a_ij x_j)^2, c_i = S q_ii / den_i^2.
+    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    coef = [[int(q[i][j] * dens[i]) for j in range(i + 1, n)] for i in range(n)]
+    weights = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    cs = [int(w * scale) for w in weights]
     results: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            if remaining == 0:
-                results.append(tuple(x))
+    def descend(i: int, remaining: int) -> None:
+        den, c, row = dens[i], cs[i], coef[i]
+        shift = sum(a * xj for a, xj in zip(row, x[i + 1:]))
+        # |den x_i + shift| <= t  <=>  c (den x_i + shift)^2 <= remaining
+        t = math.isqrt(remaining // c)
+        if i == 0:  # the last coordinate must use up the budget exactly
+            if c * t * t == remaining:
+                for y in (-t, t) if t else (0,):
+                    if (y - shift) % den == 0:
+                        x[0] = (y - shift) // den
+                        results.append(tuple(x))
+                x[0] = 0
             return
-        shift = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for xi in _integer_range(remaining / q[i][i], shift):
+        for xi in range(-((t + shift) // den), (t - shift) // den + 1):
             x[i] = xi
-            descend(i - 1, remaining - q[i][i] * (xi + shift) ** 2)
+            y = den * xi + shift
+            descend(i - 1, remaining - c * y * y)
         x[i] = 0
 
-    descend(n - 1, target)
+    descend(n - 1, -norm * scale)
     results = [v for v in results if any(v)]
     results.sort()
     return results

@@ -333,17 +333,3 @@ def signature_of_symmetric(gram) -> tuple[int, int]:
             a[i][c] = Fraction(0)
     return pos, neg
 
-
-def lcm_of(values) -> int:
-    out = 1
-    for x in values:
-        if x:
-            g = _gcd(out, x)
-            out = abs(out // g * x)
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

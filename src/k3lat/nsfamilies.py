@@ -10,6 +10,7 @@ Neron-Severi/transcendental pairs <2n> + E8(-1)^2, <-2n> + U^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,9 +70,12 @@ def canonical_glue_vector(d: int) -> tuple[int, ...]:
     Norm -4 vectors serve d = 4m+2 (v.v = 4 mod 8) and norm -8 vectors serve
     d = 4m (v.v = 0 mod 8).
     """
-    wanted = -4 if glue_vector_norm_class(d) == 4 else -8
-    vectors = enumerate_vectors_of_norm(e8(-2), wanted)
-    return vectors[0]
+    return _first_e8m2_vector(-4 if glue_vector_norm_class(d) == 4 else -8)
+
+
+@functools.cache
+def _first_e8m2_vector(norm: int) -> tuple[int, ...]:
+    return enumerate_vectors_of_norm(e8(-2), norm)[0]
 
 
 def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
