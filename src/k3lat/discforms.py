@@ -91,6 +91,8 @@ class FiniteQuadraticForm:
         if self._coordinates is None:
             raise UnsupportedError("this form was built without coordinate rows")
         w = [Fraction(v) for v in dual_vector]
+        if len(w) != self.parent.rank:
+            raise BadInputError("vector length must equal the lattice rank")
         den = math.lcm(*(x.denominator for x in w))
         gw = linalg.mat_vec(self.parent.gram_rows(), [int(x * den) for x in w])
         if any(x % den for x in gw):

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lat import (
+    BadInputError,
     a_n,
     direct_sum,
     discriminant_form,
@@ -86,6 +87,13 @@ def test_every_value_is_the_canonical_fraction():
         assert type(got) is Fraction and str(got) == str(want)
         for y in elements[:12]:
             assert str(form.b(x, y)) == str(_pair(lx, form.lift(y), gram) % 1)
+
+
+def test_element_of_rejects_wrong_length():
+    form = discriminant_form(hyperbolic_plane(2))
+    for vec in ([Fraction(1, 2)], [Fraction(1, 2), 0, 0]):
+        with pytest.raises(BadInputError):
+            form.element_of(vec)
 
 
 def _oracle_table(form, matrix):
