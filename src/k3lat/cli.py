@@ -15,8 +15,9 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .errors import JsonInputError, K3LatError
+from .errors import BadInputError, JsonInputError, K3LatError
 from .lattice import (
+    _STANDARD_KINDS,
     Lattice,
     enumerate_vectors_of_norm,
     standard_lattice,
@@ -24,7 +25,12 @@ from .lattice import (
 from .discforms import discriminant_form
 from .gluing import GlueData, glue, verification_block
 from .involution import QuotientCohomology
-from .nsfamilies import classify_ns, det_square_class_obstruction, moduli_dimension
+from .nsfamilies import (
+    _MODULI_EXAMPLES,
+    classify_ns,
+    det_square_class_obstruction,
+    moduli_dimension,
+)
 from .elliptic import (
     RatPoly,
     WeierstrassFibration,
@@ -86,7 +92,16 @@ def _load_lattice(ns) -> Lattice:
 
 
 def _fraction_entries(values):
-    return [Fraction(str(v)) for v in values]
+    """A JSON list of integers or rational strings as exact Fractions."""
+    if not isinstance(values, list):
+        raise BadInputError(f"expected a JSON list of numbers, got {type(values).__name__}")
+    out = []
+    for v in values:
+        try:
+            out.append(Fraction(str(v)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadInputError(f"entry {v!r} is not an integer or a rational like '1/2'") from exc
+    return out
 
 
 # -- handlers ----------------------------------------------------------------
@@ -151,18 +166,14 @@ def _cmd_k3_maps(ns):
 
 
 def _cmd_k3_push(ns):
-    vec = _parse_json(ns.vector)
-    model = QuotientCohomology()
-    return {"vector": model.push([int(x) for x in vec])}, []
+    vec = _fraction_entries(_parse_json(ns.vector))
+    return {"vector": QuotientCohomology().push(vec)}, []
 
 
 def _cmd_k3_pull(ns):
-    vec = _parse_json(ns.vector)
+    vec = _fraction_entries(_parse_json(ns.vector))
     model = QuotientCohomology()
-    if ns.extended:
-        out = model.pull_extended(_fraction_entries(vec))
-    else:
-        out = model.pull([int(x) for x in vec])
+    out = model.pull_extended(vec) if ns.extended else model.pull(vec)
     return {"vector": out}, []
 
 
@@ -239,7 +250,7 @@ def _cmd_verify_paper(ns):
 
 
 def _add_lattice_source(parser, with_param=True):
-    parser.add_argument("--std", choices=["U", "E8", "An", "rank1", "NikulinN", "Gamma16"])
+    parser.add_argument("--std", choices=_STANDARD_KINDS)
     parser.add_argument("--twist", type=int, default=1)
     if with_param:
         parser.add_argument("--param", type=int, default=None,
@@ -281,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     k3 = sub.add_parser("k3", help="involution and quotient transfer maps")
     ksub = k3.add_subparsers(dest="subcommand", required=True)
     maps = ksub.add_parser("maps", help="verify the transfer identities")
-    maps.add_argument("--check", action="store_true", default=True)
     maps.set_defaults(handler=_cmd_k3_maps)
     push = ksub.add_parser("push", help="push a 30-coordinate vector")
     push.add_argument("--vector", required=True, help="JSON list of 30 integers")
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.set_defaults(handler=_cmd_ns_classify)
     moduli = nsub.add_parser("moduli", help="moduli dimension of a worked example")
     moduli.add_argument("--example", required=True,
-                        choices=["M2", "M6", "M4", "M4tilde", "M8", "M8tilde"])
+                        choices=_MODULI_EXAMPLES)
     moduli.set_defaults(handler=_cmd_ns_moduli)
     obstruction = nsub.add_parser("obstruction", help="determinant square-class report")
     obstruction.add_argument("--rankT", type=int, required=True)

@@ -34,18 +34,15 @@ class FiniteQuadraticForm:
 
     ``coordinates`` holds one integer row per generator: the class of a dual
     vector w has residue (row . G w) mod d_i, as the nontrivial rows of U in
-    the Smith form U*G*V = D give.  A form built without them evaluates q and
-    b but cannot classify dual vectors.
+    the Smith form U*G*V = D give.
     """
 
-    def __init__(self, parent: Lattice, factors, generators, coordinates=None):
+    def __init__(self, parent: Lattice, factors, generators, coordinates):
         self.parent = parent
         self.invariant_factors = tuple(int(d) for d in factors)
         self.generators = tuple(tuple(Fraction(c) for c in g) for g in generators)
         self.order = math.prod(self.invariant_factors)
-        self._coordinates = (
-            None if coordinates is None else [list(map(int, row)) for row in coordinates]
-        )
+        self._coordinates = [list(map(int, row)) for row in coordinates]
         den = math.lcm(*(c.denominator for g in self.generators for c in g))
         scaled = [[int(c * den) for c in g] for g in self.generators]
         self._den2 = den * den
@@ -88,8 +85,6 @@ class FiniteQuadraticForm:
 
     def element_of(self, dual_vector) -> DiscElement:
         """Class of a dual vector (pairs integrally with M) in A_M."""
-        if self._coordinates is None:
-            raise UnsupportedError("this form was built without coordinate rows")
         w = [Fraction(v) for v in dual_vector]
         if len(w) != self.parent.rank:
             raise BadInputError("vector length must equal the lattice rank")
@@ -289,18 +284,13 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
 def orbits_under_generators(form: FiniteQuadraticForm, generators) -> list[list[DiscElement]]:
     """Orbit partition of A_M under supplied isometry generators.
 
-    Generators may be parent-lattice matrices or precomputed element maps.
-    Orbits are sorted lists, ordered by (size, first element); the group is
-    never materialized, only the orbit closure.
+    Generators are parent-lattice matrices.  Orbits are sorted lists, ordered
+    by (size, first element); the group is never materialized, only the orbit
+    closure.
     """
     if form.order > _SUBGROUP_SIZE_BOUND:
         raise UnsupportedError("discriminant group too large for orbit closure")
-    maps = []
-    for g in generators:
-        if isinstance(g, dict):
-            maps.append(g)
-        else:
-            maps.append(action_on_disc(form, g))
+    maps = [action_on_disc(form, g) for g in generators]
     seen = set()
     orbits = []
     for x in sorted(form.elements()):
@@ -335,9 +325,6 @@ class Fingerprint:
     even: bool
     invariant_factors: tuple[int, ...]
     q_histogram: tuple[tuple[str, int], ...]
-
-    def histogram_dict(self) -> dict[str, int]:
-        return dict(self.q_histogram)
 
 
 def lattice_fingerprint(lattice: Lattice) -> Fingerprint:

@@ -27,7 +27,7 @@ import sympy
 
 from .errors import BadInputError, UnsupportedError
 from .discforms import lattice_fingerprint
-from .lattice import Lattice, direct_sum, hyperbolic_plane, nikulin, nikulin_node_coords
+from .lattice import Lattice, a_n, direct_sum, hyperbolic_plane, nikulin, nikulin_node_coords
 
 
 class RatPoly:
@@ -392,7 +392,10 @@ def parse_fiber_list(text: str) -> list[tuple[int, int]]:
         name, _, count = token.partition(":")
         if not name.startswith("I") or not name[1:].isdigit():
             raise BadInputError(f"only multiplicative fibers I_n are supported, got {name!r}")
-        out.append((int(name[1:]), int(count) if count else 1))
+        try:
+            out.append((int(name[1:]), int(count) if count else 1))
+        except ValueError as exc:
+            raise BadInputError(f"malformed fiber {token!r}; expected I_n or I_n:count") from exc
     if not out:
         raise BadInputError("empty fiber list")
     return out
@@ -512,15 +515,6 @@ def _cycle_gram(n: int) -> list[list[int]]:
     return g
 
 
-def _a7_gram() -> list[list[int]]:
-    g = [[0] * 7 for _ in range(7)]
-    for i in range(7):
-        g[i][i] = -2
-        if i + 1 < 7:
-            g[i][i + 1] = g[i + 1][i] = 1
-    return g
-
-
 def i16_component_permutation(n_components: int = 16, shift: int = 8) -> SixteenGonReport:
     """Translation action on the 16 components of the I_16 fiber.
 
@@ -539,7 +533,7 @@ def i16_component_permutation(n_components: int = 16, shift: int = 8) -> Sixteen
     windows_swapped = set(perm[i] for i in window_a) == set(window_b)
 
     cycle = _cycle_gram(16)
-    a7 = _a7_gram()
+    a7 = a_n(7, -1).gram_rows()
 
     def chain_gram(indices):
         return [[cycle[i][j] for j in indices] for i in indices]

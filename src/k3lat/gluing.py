@@ -21,6 +21,7 @@ from .discforms import _closure, discriminant_form
 from .lattice import (
     Lattice,
     direct_sum,
+    gamma16,
     gamma16_contains,
     gamma16_coordinates,
     hyperbolic_plane,
@@ -87,43 +88,43 @@ def glue(data: GlueData) -> Overlattice:
         basis = tuple(tuple(Fraction(x) for x in row) for row in linalg.identity_matrix(n))
         return Overlattice(base, basis, ident, base, 1)
 
+    # H = denom * (overlattice basis) is the integral, upper-triangular HNF of
+    # denom * Z^n plus the scaled glue vectors
     denom = math.lcm(*(c.denominator for v in data.glue_vectors for c in v))
     rows = [[denom * x for x in row] for row in linalg.identity_matrix(n)]
-    for v in data.glue_vectors:
-        scaled = [c * denom for c in v]
-        rows.append([int(c) for c in scaled])
+    rows += [[int(c * denom) for c in v] for v in data.glue_vectors]
     hnf = linalg.hermite_normal_form(rows)
-    assert len(hnf) == n
-    basis = [[Fraction(x, denom) for x in row] for row in hnf]
+    _require(len(hnf) == n, "glue HNF does not have full rank")
+    index = denom ** n // math.prod(hnf[i][i] for i in range(n))
+    _require(index == order, "overlattice index disagrees with the glue subgroup order")
 
-    det_hnf = 1
-    for i in range(n):
-        det_hnf *= hnf[i][i]
-    index = denom ** n // abs(det_hnf)
-    assert index == order, "overlattice index disagrees with the glue subgroup order"
-
-    new_gram_frac = linalg.pairing_matrix(basis, gram)
     new_gram = []
-    for row in new_gram_frac:
-        assert all(x.denominator == 1 for x in row), "glued form is not integral"
-        new_gram.append([int(x) for x in row])
-    for i in range(n):
-        assert new_gram[i][i] % 2 == 0, "glued lattice is not even"
+    for row in linalg.pairing_matrix(hnf, gram):  # H G H^T = denom^2 * new Gram
+        quots = [divmod(x, denom * denom) for x in row]
+        _require(not any(r for _, r in quots), "glued form is not integral")
+        new_gram.append([q for q, _ in quots])
+    _require(all(new_gram[i][i] % 2 == 0 for i in range(n)), "glued lattice is not even")
     over = Lattice(new_gram, name=None)
 
-    binv = linalg.rational_inverse([[Fraction(x) for x in row] for row in basis])
+    # row i of the inclusion is e_i in the new basis H / denom: inc * H = denom * I,
+    # solved by forward substitution over the columns of the triangular H
     inclusion = []
     for i in range(n):
-        row = binv[i]  # old basis vector e_i in new coordinates
-        assert all(x.denominator == 1 for x in row)
-        inclusion.append(tuple(int(x) for x in row))
-    return Overlattice(
-        over,
-        tuple(tuple(r) for r in basis),
-        tuple(inclusion),
-        base,
-        order,
-    )
+        row = [0] * n
+        for j in range(i, n):
+            rest = (denom if j == i else 0) - sum(row[k] * hnf[k][j] for k in range(i, j))
+            row[j], r = divmod(rest, hnf[j][j])
+            _require(r == 0, "base vector is not integral in the overlattice basis")
+        inclusion.append(tuple(row))
+    basis = tuple(tuple(Fraction(x, denom) for x in row) for row in hnf)
+    return Overlattice(over, basis, tuple(inclusion), base, order)
+
+
+def _require(cond: bool, message: str) -> None:
+    # explicit raise rather than assert: a failed check must not be skipped
+    # under python -O, where a floored quotient would go unnoticed
+    if not cond:
+        raise AssertionError(message)
 
 
 def is_primitive(ambient: Lattice, vectors) -> tuple[bool, list[int]]:
@@ -132,15 +133,14 @@ def is_primitive(ambient: Lattice, vectors) -> tuple[bool, list[int]]:
     Returns (flag, torsion invariant factors of the cokernel).  Vectors are
     coordinates in the ambient basis and must be linearly independent.
     """
-    vecs = [list(map(int, v)) for v in vectors]
+    vecs = [linalg.exact_ints(v, "vector coordinates") for v in vectors]
     if not vecs:
         return True, []
     if any(len(v) != ambient.rank for v in vecs):
         raise BadInputError("vectors must have the ambient rank as length")
-    if linalg.rational_rank(vecs) != len(vecs):
+    factors = linalg.invariant_factors(linalg.transpose(vecs))
+    if len(factors) != len(vecs):  # one nonzero invariant factor per independent vector
         raise BadInputError("vectors are not linearly independent")
-    cols = linalg.transpose(vecs)
-    factors = linalg.invariant_factors(cols)
     torsion = [d for d in factors if d > 1]
     return not torsion, torsion
 
@@ -251,8 +251,9 @@ def nikulin_square_in_gamma16() -> dict:
     membership = all(gamma16_contains(v) for v in images)
     coords = [gamma16_coordinates(v) for v in images]
 
-    prim_first, tors_first = is_primitive_in_coords(coords[:8])
-    prim_second, tors_second = is_primitive_in_coords(coords[8:])
+    ambient = gamma16(-1)
+    prim_first, tors_first = is_primitive(ambient, coords[:8])
+    prim_second, tors_second = is_primitive(ambient, coords[8:])
     index = abs(linalg.bareiss_determinant(coords))
 
     e1p9 = [a + b for a, b in zip(unit(0), unit(8))]
@@ -270,14 +271,6 @@ def nikulin_square_in_gamma16() -> dict:
         "index": index,
         "spot_checks": spot,
     }
-
-
-def is_primitive_in_coords(vectors) -> tuple[bool, list[int]]:
-    """Primitivity of an integer coordinate family (no ambient form needed)."""
-    cols = linalg.transpose([list(map(int, v)) for v in vectors])
-    factors = linalg.invariant_factors(cols)
-    torsion = [d for d in factors if d > 1]
-    return not torsion, torsion
 
 
 def restriction_recovers_base(over: Overlattice) -> bool:

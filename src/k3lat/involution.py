@@ -46,7 +46,7 @@ class InvolutionModule:
     """A lattice together with an isometric involution (integer matrix)."""
 
     def __init__(self, lattice: Lattice, action):
-        g = [list(map(int, row)) for row in action]
+        g = [linalg.exact_ints(row, "action entries") for row in action]
         n = lattice.rank
         if len(g) != n or any(len(row) != n for row in g):
             raise BadInputError("action matrix must be square of the lattice rank")
@@ -67,18 +67,18 @@ class InvolutionModule:
 def str_invariants(module: InvolutionModule) -> STRInvariants:
     """(s, t, r) with (M, g) = M_1^s + M_{-1}^t + M_swap^r.
 
-    The fixed and anti-fixed ranks determine s + r and t + r; the swap
-    multiplicity r is the F_2-rank of (g - 1) mod 2 (it is 1 on each swap
-    block and 0 on the scalar blocks).
+    The fixed and anti-fixed ranks (the kernel ranks of g - 1 and g + 1)
+    determine s + r and t + r; the swap multiplicity r is the F_2-rank of
+    (g - 1) mod 2 (it is 1 on each swap block and 0 on the scalar blocks).
     """
     n = module.lattice.rank
     g = module.action_rows()
     ident = linalg.identity_matrix(n)
-    f_plus = n - linalg.rational_rank(linalg.mat_sub(g, ident))
-    f_minus = n - linalg.rational_rank(
-        [[x + y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)]
-    )
-    r = linalg.rank_mod2(linalg.mat_sub(g, ident))
+    g_minus = linalg.mat_sub(g, ident)
+    g_plus = [[x + y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)]
+    f_plus = len(linalg.integer_kernel(g_minus))
+    f_minus = len(linalg.integer_kernel(g_plus))
+    r = linalg.rank_mod2(g_minus)
     s = f_plus - r
     t = f_minus - r
     assert s >= 0 and t >= 0 and s + t + 2 * r == n
@@ -199,15 +199,17 @@ class QuotientCohomology:
 
     def push(self, v) -> list[int]:
         """push-forward of a vector of the blown-up lattice (30 coords)."""
+        v = linalg.exact_ints(v, "push coordinates")
         if len(v) != 30:
             raise BadInputError("push expects 30 coordinates")
-        return linalg.mat_vec(self.push_matrix, list(map(int, v)))
+        return linalg.mat_vec(self.push_matrix, v)
 
     def pull(self, w) -> list[int]:
         """pull-back of a vector of U(2)^3 + N + E8(-1) (22 coords)."""
+        w = linalg.exact_ints(w, "pull coordinates")
         if len(w) != 22:
             raise BadInputError("pull expects 22 coordinates")
-        return linalg.mat_vec(self.pull_matrix, list(map(int, w)))
+        return linalg.mat_vec(self.pull_matrix, w)
 
     def contains_in_overlattice(self, w) -> bool:
         """Membership of a rational vector (22 coords) in the full Y lattice."""

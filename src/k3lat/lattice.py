@@ -41,20 +41,23 @@ class Lattice:
     """Free Z-module with a nondegenerate symmetric integer Gram matrix."""
 
     def __init__(self, gram, labels=None, name=None):
-        rows = [list(map(int, row)) for row in gram]
+        try:
+            gram = list(gram)
+        except TypeError as exc:
+            raise BadInputError("gram matrix must be a list of rows") from exc
+        rows = [linalg.exact_ints(row, "gram entries") for row in gram]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise BadInputError("gram matrix must be square")
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x != gram[i][j]:
-                    raise BadInputError("gram entries must be integers")
         if not linalg.is_symmetric(rows):
             raise BadInputError("gram matrix must be symmetric")
         if n > 0 and linalg.bareiss_determinant(rows) == 0:
             raise DegenerateGramError("gram matrix is degenerate")
         if labels is not None:
-            labels = tuple(str(x) for x in labels)
+            try:
+                labels = tuple(str(x) for x in labels)
+            except TypeError as exc:
+                raise BadInputError("labels must be a list") from exc
             if len(labels) != n:
                 raise BadInputError("need one basis label per row")
         self.gram = tuple(tuple(row) for row in rows)
@@ -87,10 +90,6 @@ class Lattice:
     def is_negative_definite(self) -> bool:
         return self.rank > 0 and self.signature.as_pair() == (0, self.rank)
 
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.rank > 0 and self.signature.as_pair() == (self.rank, 0)
-
     def inner(self, v, w):
         """Bilinear pairing of two coordinate vectors (ints or Fractions)."""
         if len(v) != self.rank or len(w) != self.rank:
@@ -108,11 +107,6 @@ class Lattice:
         if self.name:
             name = self.name if n == 1 else f"{self.name}({n})"
         return Lattice([[n * x for x in row] for row in self.gram], self.labels, name)
-
-    def dual_basis(self) -> list[list[Fraction]]:
-        """Basis of the dual lattice in the coordinates of this one (rows)."""
-        inv = linalg.rational_inverse(self.gram_rows())
-        return inv  # symmetric, so rows = columns
 
     def to_json(self) -> dict:
         out = {"gram": self.gram_rows()}
@@ -388,7 +382,7 @@ def orthogonal_complement(lattice: Lattice, vectors):
     Raises IsotropicComplementError when the induced form is degenerate.
     """
     n = lattice.rank
-    vecs = [list(map(int, v)) for v in vectors]
+    vecs = [linalg.exact_ints(v, "vector coordinates") for v in vectors]
     for v in vecs:
         if len(v) != n:
             raise BadInputError("vectors must have the lattice rank as length")
@@ -411,7 +405,7 @@ def orthogonal_complement(lattice: Lattice, vectors):
 
 def sublattice_index(lattice: Lattice, vectors) -> int:
     """Index of the finite-index sublattice spanned by ``vectors``."""
-    vecs = [list(map(int, v)) for v in vectors]
+    vecs = [linalg.exact_ints(v, "vector coordinates") for v in vectors]
     if len(vecs) != lattice.rank or any(len(v) != lattice.rank for v in vecs):
         raise BadInputError("need a square coordinate matrix")
     det = linalg.bareiss_determinant(vecs)

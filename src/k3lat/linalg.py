@@ -15,6 +15,18 @@ from .errors import BadInputError, DegenerateGramError
 IntMatrix = list[list[int]]
 
 
+def exact_ints(values, what: str) -> list[int]:
+    """``values`` as a list of ints; BadInputError unless each one is an integer."""
+    try:
+        values = list(values)
+        ints = [int(x) for x in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadInputError(f"{what} must be integers") from exc
+    if ints != values:
+        raise BadInputError(f"{what} must be integers")
+    return ints
+
+
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -108,31 +120,6 @@ def rational_inverse(mat):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def rational_rank(mat) -> int:
-    """Rank over Q."""
-    if not mat:
-        return 0
-    a = [[Fraction(x) for x in row] for row in mat]
-    m, n = len(a), len(a[0])
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        for r in range(row + 1, m):
-            if a[r][col] != 0:
-                f = a[r][col] / p
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
 
 
 def rank_mod2(mat) -> int:

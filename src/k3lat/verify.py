@@ -42,6 +42,7 @@ from .involution import (
     swap_involution,
 )
 from .lattice import (
+    a_n,
     direct_sum,
     e8,
     e8_simple_reflections,
@@ -332,38 +333,27 @@ def check_sixteen_gon_family(seed: int = DEFAULT_SEED) -> dict:
     return {"shioda_tate": [rank, str(disc)], "component_shift": list(gon.permutation)}
 
 
-_PROPERTY_STOCK = None
-
-
-def _property_stock():
-    global _PROPERTY_STOCK
-    if _PROPERTY_STOCK is None:
-        from .lattice import a_n
-
-        _PROPERTY_STOCK = [
-            hyperbolic_plane(),
-            hyperbolic_plane(2),
-            hyperbolic_plane(-1),
-            e8(-1),
-            e8(-2),
-            nikulin(),
-            a_n(2),
-            a_n(3, -1),
-            rank_one(4),
-            rank_one(-6),
-            direct_sum([hyperbolic_plane(2), rank_one(2)]),
-            gamma16(-1),
-        ]
-    return _PROPERTY_STOCK
-
-
 def check_property_suites() -> dict:
     """|A_M| = |det M|, polarization, monomial-count sums, glue determinant law."""
-    for lat in _property_stock():
+    stock = [
+        hyperbolic_plane(),
+        hyperbolic_plane(2),
+        hyperbolic_plane(-1),
+        e8(-1),
+        e8(-2),
+        nikulin(),
+        a_n(2),
+        a_n(3, -1),
+        rank_one(4),
+        rank_one(-6),
+        direct_sum([hyperbolic_plane(2), rank_one(2)]),
+        gamma16(-1),
+    ]
+    for lat in stock:
         form = discriminant_form(lat)
         assert form.order == abs(lat.determinant), lat
     pairs_checked = 0
-    for lat in _property_stock():
+    for lat in stock:
         form = discriminant_form(lat)
         if form.order > 64:
             continue

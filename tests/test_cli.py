@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from k3lat.cli import build_parser, main, run
 from k3lat.gluing import u2cubed_nikulin_base, u2cubed_nikulin_glue_vectors
 from k3lat.lattice import Lattice
@@ -82,6 +84,68 @@ def test_glue_cli(tmp_path):
     }
     glued = Lattice.from_json(payload["lattice"])
     assert glued.rank == 14
+    assert payload["inclusion"] == _table(_U2N_INCLUSION, int)
+    assert payload["basis_in_base"] == _table(_U2N_BASIS, str)
+    assert payload["lattice"] == {"gram": _table(_U2N_GRAM, int)}
+
+
+def _table(text, entry):
+    return [[entry(x) for x in line.split()] for line in text.strip().splitlines()]
+
+
+# the full glue payload of the U(2)^3 + N gluing, rows of the inclusion
+# (base basis in overlattice coordinates), of the overlattice basis in base
+# coordinates and of the glued Gram
+_U2N_INCLUSION = """
+2 0 0 0 0 0 0 0 0 -1 -1 -1 -1 0
+0 2 0 0 0 0 0 0 -1 0 -1 -1 -1 0
+0 0 2 0 0 0 0 -1 -1 -1 0 0 -1 0
+0 0 0 2 0 0 0 -1 -1 -1 0 -1 0 0
+0 0 0 0 2 0 -1 0 -1 -1 -1 0 0 0
+0 0 0 0 0 2 -1 -1 0 0 0 -1 -1 0
+0 0 0 0 0 0 1 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 1 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 1 0 0 0 0 0
+0 0 0 0 0 0 0 0 0 1 0 0 0 0
+0 0 0 0 0 0 0 0 0 0 1 0 0 0
+0 0 0 0 0 0 0 0 0 0 0 1 0 0
+0 0 0 0 0 0 0 0 0 0 0 0 1 0
+0 0 0 0 0 0 0 0 0 0 0 0 0 1
+"""
+
+_U2N_BASIS = """
+1/2 0 0 0 0 0 0 0 0 1/2 1/2 1/2 1/2 0
+0 1/2 0 0 0 0 0 0 1/2 0 1/2 1/2 1/2 0
+0 0 1/2 0 0 0 0 1/2 1/2 1/2 0 0 1/2 0
+0 0 0 1/2 0 0 0 1/2 1/2 1/2 0 1/2 0 0
+0 0 0 0 1/2 0 1/2 0 1/2 1/2 1/2 0 0 0
+0 0 0 0 0 1/2 1/2 1/2 0 0 0 1/2 1/2 0
+0 0 0 0 0 0 1 0 0 0 0 0 0 0
+0 0 0 0 0 0 0 1 0 0 0 0 0 0
+0 0 0 0 0 0 0 0 1 0 0 0 0 0
+0 0 0 0 0 0 0 0 0 1 0 0 0 0
+0 0 0 0 0 0 0 0 0 0 1 0 0 0
+0 0 0 0 0 0 0 0 0 0 0 1 0 0
+0 0 0 0 0 0 0 0 0 0 0 0 1 0
+0 0 0 0 0 0 0 0 0 0 0 0 0 1
+"""
+
+_U2N_GRAM = """
+-2 -1 -1 -1 -1 -1 0 0 0 -1 -1 -1 -1 -2
+-1 -2 -1 -1 -1 -1 0 0 -1 0 -1 -1 -1 -2
+-1 -1 -2 -1 -1 -1 0 -1 -1 -1 0 0 -1 -2
+-1 -1 -1 -2 -1 -1 0 -1 -1 -1 0 -1 0 -2
+-1 -1 -1 -1 -2 0 -1 0 -1 -1 -1 0 0 -2
+-1 -1 -1 -1 0 -2 -1 -1 0 0 0 -1 -1 -2
+0 0 0 0 -1 -1 -2 0 0 0 0 0 0 -1
+0 0 -1 -1 0 -1 0 -2 0 0 0 0 0 -1
+0 -1 -1 -1 -1 0 0 0 -2 0 0 0 0 -1
+-1 0 -1 -1 -1 0 0 0 0 -2 0 0 0 -1
+-1 -1 0 0 -1 0 0 0 0 0 -2 0 0 -1
+-1 -1 0 -1 0 -1 0 0 0 0 0 -2 0 -1
+-1 -1 -1 0 0 -1 0 0 0 0 0 0 -2 -1
+-2 -2 -2 -2 -2 -2 -1 -1 -1 -1 -1 -1 -1 -4
+"""
 
 
 def test_glue_cli_missing_file_is_json_error(tmp_path):
@@ -158,6 +222,37 @@ def test_ell_shioda_tate_mw_unsupported():
     result = run(["ell", "shioda-tate", "--fibers", "I2:8", "--torsion", "2", "--mw", "1"])
     assert result.exit_code == 1
     assert result.error_code == "unsupported"
+
+
+_PUSH_HALF = json.dumps([1.5] + [0] * 29)
+
+
+@pytest.mark.parametrize(
+    "argv, file_text",
+    [
+        (["lattice", "info", "--file", "FILE"], '{"gram": 5}'),
+        (["lattice", "info", "--file", "FILE"], '{"gram": [["a"]]}'),
+        (["ell", "shioda-tate", "--fibers", "I2:x", "--torsion", "2"], None),
+        (["k3", "push", "--vector", '{"a": 1}'], None),
+        (["k3", "push", "--vector", "5"], None),
+        (["k3", "pull", "--extended", "--vector", '["1/0"]'], None),
+        (["k3", "push", "--vector", _PUSH_HALF], None),
+    ],
+    ids=["gram-int", "gram-str", "fiber-count", "vector-dict", "vector-int", "vector-1/0", "vector-1.5"],
+)
+def test_malformed_input_is_bad_input_envelope(argv, file_text, tmp_path, capsys):
+    if file_text is not None:
+        path = tmp_path / "lattice.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["status"] == "error" and error["code"] == "bad_input"
+    assert main(["--json"] + argv) == 1
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["status"] == "error" and envelope["error_code"] == "bad_input"
 
 
 def test_unknown_subcommand_exits_two(capsys):

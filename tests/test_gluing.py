@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from k3lat import (
+    BadInputError,
     GlueData,
     NonIsotropicGlueError,
     NotDualVectorError,
@@ -113,6 +114,10 @@ def test_is_primitive_examples():
     lat = direct_sum([hyperbolic_plane(), hyperbolic_plane()])
     ok, torsion = is_primitive(lat, [[1, 0, 0, 0], [0, 0, 1, 0]])
     assert ok and torsion == []
+    with pytest.raises(BadInputError):
+        is_primitive(lat, [[1, 0, 0, 0], [0, 0, 1, 0], [2, 0, -3, 0]])
+    with pytest.raises(BadInputError):
+        is_primitive(amb, [[F(3, 2)]])
 
 
 def test_embedding_report():

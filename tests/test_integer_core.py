@@ -1,8 +1,9 @@
-"""The integer cores of discriminant forms, induced actions and Fincke-Pohst.
+"""The integer cores of discriminant forms, induced actions, Fincke-Pohst and glue.
 
 Expected values come from outside the code under test: a Fraction oracle built
 here from the generator lifts and the Gram matrix, the class of the image of
-every lift, theta-series coefficients, and brute-force box enumeration.
+every lift, theta-series coefficients, brute-force box enumeration, and the
+inverse of the overlattice basis.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
+    GlueData,
     a_n,
     direct_sum,
     discriminant_form,
@@ -23,6 +25,7 @@ from k3lat import (
     e8_simple_reflections,
     enumerate_vectors_of_norm,
     gamma16,
+    glue,
     hyperbolic_plane,
     nikulin,
     nikulin_permutation_matrix,
@@ -172,3 +175,48 @@ def test_random_definite_forms_match_box_enumeration(basis, norm):
         if _pair(v, v, gram) == norm
     )
     assert enumerate_vectors_of_norm(lat, norm) == expected
+
+
+@st.composite
+def order_two_glue(draw):
+    blocks = draw(st.lists(BLOCKS, min_size=1, max_size=3))
+    lat = direct_sum(blocks)
+    assume(lat.rank <= 22 and abs(lat.determinant) <= 2 ** 10)
+    form = discriminant_form(lat)
+    halves = [
+        x
+        for x in form.elements()
+        if any(x) and form.scale(2, x) == form.zero() and form.q(x) == 0
+    ]
+    assume(halves)
+    x = draw(st.sampled_from(halves))
+    # shift the lift by a lattice vector, and sometimes add a redundant
+    # multiple, so the HNF has real reduction work to do
+    shift = draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank))
+    v = [c + s for c, s in zip(form.lift(x), shift)]
+    vectors = [v, [3 * c for c in v]] if draw(st.booleans()) else [v]
+    return lat, vectors
+
+
+@given(order_two_glue())
+@settings(max_examples=30, deadline=None)
+def test_glue_matches_fraction_oracle(case):
+    lat, vectors = case
+    over = glue(GlueData.of(lat, vectors))
+    n = lat.rank
+    basis = [list(row) for row in over.basis_in_base]
+    inclusion = [list(row) for row in over.inclusion]
+    inverse = linalg.rational_inverse(basis)
+    assert over.glue_order == 2
+    assert over.lattice.gram_rows() == linalg.pairing_matrix(basis, lat.gram_rows())
+    assert inclusion == inverse
+    assert linalg.mat_mul(inclusion, basis) == linalg.identity_matrix(n)
+    # the basis spans Z^n + Z v: each row is in it, and Z^n (the line above)
+    # and v have integral coordinates in the basis
+    v = vectors[0]
+    for row in basis:
+        assert any(all((b - k * c).denominator == 1 for b, c in zip(row, v)) for k in (0, 1))
+    assert all(c.denominator == 1 for c in linalg.mat_vec(linalg.transpose(inverse), v))
+    # and it is the canonical HNF basis over the denominator 2
+    scaled = [[int(2 * b) for b in row] for row in basis]
+    assert linalg.hermite_normal_form(scaled) == scaled

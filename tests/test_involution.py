@@ -51,6 +51,8 @@ def test_involution_module_validation():
         InvolutionModule(lat, [[1, 1], [0, 1]])  # not an involution
     with pytest.raises(BadInputError):
         InvolutionModule(lat, [[1, 0], [0, -1]])  # involution but not an isometry of U
+    with pytest.raises(BadInputError):
+        InvolutionModule(lat, [[F(3, 2), 0], [0, 1]])  # int() would make it the identity
 
 
 def test_invariant_and_antiinvariant_of_swap():
@@ -157,6 +159,14 @@ def test_pull_extended_agrees_with_pull_on_sublattice(model):
     w = [0] * 22
     w[2], w[7], w[16] = 1, -2, 3
     assert model.pull_extended(w) == model.pull(w)
+
+
+def test_push_and_pull_reject_non_integral_entries(model):
+    # entries used to be truncated by int(), so 3/2 was pushed as 1
+    with pytest.raises(BadInputError):
+        model.push([F(3, 2)] + [0] * 29)
+    with pytest.raises(BadInputError):
+        model.pull([0] * 21 + [F(-1, 2)])
 
 
 def test_pull_extended_rejects_outside_vectors(model):

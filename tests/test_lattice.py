@@ -135,6 +135,11 @@ def test_degenerate_gram_rejected():
         Lattice([[0, 1], [2, 0]])  # not symmetric
     with pytest.raises(BadInputError):
         Lattice([[1, 2, 3]])  # not square
+    for gram in (5, [5], [["a"]], [[Fraction(1, 2)]], [[float("inf")]]):
+        with pytest.raises(BadInputError):
+            Lattice(gram)
+    with pytest.raises(BadInputError):
+        Lattice([[2]], labels=5)
 
 
 def test_twist_determinant_law():
@@ -257,6 +262,10 @@ def test_sublattice_index():
     assert sublattice_index(nikulin(), nodes) == 2
     with pytest.raises(BadInputError):
         sublattice_index(u, [[1, 0], [2, 0]])
+    with pytest.raises(BadInputError):
+        sublattice_index(u, [[Fraction(1, 2), 0], [0, 2]])
+    with pytest.raises(BadInputError):
+        orthogonal_complement(u, [[Fraction(1, 2), 0]])
 
 
 def test_json_roundtrip_bit_identical():
