@@ -3,9 +3,12 @@
 The model has a visible 2-torsion section at (0, 0); deg a <= 4 and deg b <= 8
 keep the family K3-sized and minimal at infinity in the fixed chart u = s^4 x,
 v = s^6 y.  Discriminants are kept unit-free (constants are dropped since only
-vanishing orders enter the multiplicative fiber types I_n).  The quotient by
-translation by the 2-torsion section is the standard 2-isogeny model
-(a, b) -> (-2a, a^2 - 4b).
+vanishing orders enter the multiplicative fiber types I_n).  The discriminant
+comes factored, Delta = b^2 (a^2 - 4b), so fiber types are read off the
+factorizations of b and a^2 - 4b (degree <= 8 each); the degree-24 Delta is
+never factored.  The quotient by translation by the 2-torsion section is the
+standard 2-isogeny model (a, b) -> (-2a, a^2 - 4b), which swaps the b-locus
+and the (a^2 - 4b)-locus.
 
 Moduli note: the Weierstrass parameter count for the generic family is
 5 + 9 = 14 coefficients minus 1 for the (x, y) scaling and minus 3 for the
@@ -13,12 +16,13 @@ automorphisms of the base line, read as PGL(2) of dimension 3, giving 10; the
 toolkit asserts the matching value 20 - picard_rank elsewhere.
 
 Only multiplicative fibers are classified.  Additive places (where the
-irreducible factor divides both a and b) are detected and flagged
-"additive/unsupported", never typed.
+irreducible factor divides both a and b, equivalently both b and a^2 - 4b)
+are detected and flagged "additive/unsupported", never typed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +40,10 @@ class RatPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        try:
+            cs = [Fraction(c) for c in coeffs]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadInputError(f"bad polynomial coefficients {coeffs!r}") from exc
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -130,12 +137,6 @@ class RatPoly:
             return other.is_zero
         return (other % self).is_zero
 
-    def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
-
     def derivative(self) -> "RatPoly":
         return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -150,24 +151,6 @@ class RatPoly:
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    def reversed_padded(self, k: int) -> "RatPoly":
-        """s^k * p(1/s): the chart-at-infinity transform; needs deg p <= k."""
-        if self.degree > k:
-            raise BadInputError("degree exceeds the padding bound")
-        out = [Fraction(0)] * (k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k - i] = c
-        return RatPoly(out)
-
-    def ord_at_zero(self) -> int:
-        """Vanishing order at 0 (for the zero polynomial raises)."""
-        if self.is_zero:
-            raise BadInputError("zero polynomial has no finite vanishing order")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable")
 
     def primitive_normalized(self) -> "RatPoly":
         """Integer-primitive representative with positive leading coefficient."""
@@ -288,10 +271,6 @@ class WeierstrassFibration:
         """b^2 (a^2 - 4b), constant units dropped by convention."""
         return self._disc
 
-    def chart_at_infinity(self) -> tuple[RatPoly, RatPoly]:
-        """(a^, b^) with a^(s) = s^4 a(1/s), b^(s) = s^8 b(1/s)."""
-        return self.a.reversed_padded(4), self.b.reversed_padded(8)
-
     def __repr__(self):
         return f"WeierstrassFibration(a={self.a}, b={self.b})"
 
@@ -353,24 +332,25 @@ class FiberReport:
 def fiber_configuration(f: WeierstrassFibration) -> FiberReport:
     """Kodaira I_n data of the singular fibers, including the place at infinity.
 
-    Each irreducible factor of Delta over Q is one place: its multiplicity m
-    gives type I_m when the fiber is multiplicative, i.e. the factor does not
-    divide both a and b.  The place at infinity is read off the chart
-    a^(s) = s^4 a(1/s), b^(s) = s^8 b(1/s) via Delta^(s) = s^24 Delta(1/s).
+    Delta = b^2 (a^2 - 4b) comes factored, so Delta itself is never factored:
+    an irreducible factor of b of multiplicity m adds 2m to the order of its
+    place, one of a^2 - 4b adds m.  An irreducible p divides both b and
+    a^2 - 4b exactly when it divides a and b, so a place is additive iff its
+    factor occurs in both lists; otherwise it has type I_order.  The place at
+    infinity has order 24 - deg Delta and is additive iff deg a < 4 and
+    deg b < 8, i.e. a^(0) = b^(0) = 0 in the chart a^(s) = s^4 a(1/s),
+    b^(s) = s^8 b(1/s).
     """
+    on_b = dict(irreducible_factors(f.b))
+    on_c = dict(irreducible_factors(f.a * f.a - 4 * f.b))
     places = []
-    for factor, mult in irreducible_factors(f.discriminant):
-        additive = factor.divides(f.a) and factor.divides(f.b)
-        kodaira = ADDITIVE if additive else f"I{mult}"
-        places.append(
-            FiberPlace(str(factor), factor, factor.degree, mult, kodaira)
-        )
-    ahat, bhat = f.chart_at_infinity()
-    dhat = bhat * bhat * (ahat * ahat - 4 * bhat)
-    assert dhat.degree <= 24
-    m_inf = dhat.ord_at_zero()
+    for factor in sorted(on_b.keys() | on_c.keys(), key=lambda p: (p.degree, p.coeffs)):
+        order = 2 * on_b.get(factor, 0) + on_c.get(factor, 0)
+        kodaira = ADDITIVE if factor in on_b and factor in on_c else f"I{order}"
+        places.append(FiberPlace(str(factor), factor, factor.degree, order, kodaira))
+    m_inf = 24 - f.discriminant.degree
     if m_inf > 0:
-        additive = ahat.evaluate(0) == 0 and bhat.evaluate(0) == 0
+        additive = f.a.degree < 4 and f.b.degree < 8
         kodaira = ADDITIVE if additive else f"I{m_inf}"
         places.append(FiberPlace("infinity", None, 1, m_inf, kodaira))
     report = FiberReport(places)
@@ -428,6 +408,7 @@ def shioda_tate(fibers, torsion_order: int, mw_rank: int = 0) -> tuple[int, Frac
 
 @dataclass
 class TorsionSectionReport:
+    fibers: FiberReport
     ns_lattice: Lattice
     tau: tuple[int, ...]
     tau_norm: int
@@ -443,7 +424,8 @@ def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionR
 
     Basis {sigma, f, N_1..N_7, Nhat}: sigma the zero section (-2), f the fiber,
     N_i the I_2 components missing the zero section.  The 2-torsion section is
-    tau = sigma + 2f - Nhat.
+    tau = sigma + 2f - Nhat.  Raises UnsupportedError unless the fiber report
+    (returned as ``fibers``) has that shape.
     """
     report = fiber_configuration(f)
     if not report.all_multiplicative:
@@ -452,12 +434,18 @@ def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionR
         raise UnsupportedError("expected a good fiber at infinity for the generic shape")
     if report.weight("I2") != 8 or report.weight("I1") != 8:
         raise UnsupportedError("expected the generic 8 x I_2 + 8 x I_1 shape")
+    a2m4b = f.a * f.a - 4 * f.b
     for place in report.places:
         if place.kodaira == "I2" and not place.factor.divides(f.b):
             raise UnsupportedError("an I_2 place does not sit on the b-locus")
-        if place.kodaira == "I1" and not place.factor.divides(f.a * f.a - 4 * f.b):
+        if place.kodaira == "I1" and not place.factor.divides(a2m4b):
             raise UnsupportedError("an I_1 place does not sit on the (a^2-4b)-locus")
+    return TorsionSectionReport(fibers=report, **_u_plus_n_section_data())
 
+
+@functools.cache
+def _u_plus_n_section_data() -> dict:
+    """The TorsionSectionReport fields that do not depend on the fibration."""
     n_lat = nikulin()
     gram = [[0] * 10 for _ in range(10)]
     gram[0][0] = -2  # sigma^2
@@ -480,7 +468,7 @@ def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionR
         node_pairings.append(int(ns.inner(tau_list, node)))
     fp_ns = lattice_fingerprint(ns)
     fp_un = lattice_fingerprint(direct_sum([hyperbolic_plane(), nikulin()]))
-    return TorsionSectionReport(
+    return dict(
         ns_lattice=ns,
         tau=tau,
         tau_norm=int(ns.norm(tau_list)),

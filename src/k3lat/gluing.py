@@ -39,7 +39,10 @@ class GlueData:
 
     @staticmethod
     def of(base: Lattice, vectors) -> "GlueData":
-        vecs = tuple(tuple(Fraction(c) for c in v) for v in vectors)
+        try:
+            vecs = tuple(tuple(Fraction(c) for c in v) for v in vectors)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadInputError("glue vectors must be lists of exact rationals") from exc
         for v in vecs:
             if len(v) != base.rank:
                 raise BadInputError("glue vectors must have the base rank as length")

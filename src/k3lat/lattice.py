@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     BadInputError,
@@ -298,11 +298,15 @@ def gamma16_coordinates(x) -> list[int]:
     if not gamma16_contains(x):
         raise BadInputError("vector is not in Gamma16")
     xs = [Fraction(v) for v in x]
-    basis = gamma16_basis_vectors()
-    inv = linalg.rational_inverse(linalg.transpose(basis))
-    coords = linalg.mat_vec(inv, xs)
+    coords = linalg.mat_vec(_gamma16_basis_inverse(), xs)
     assert all(c.denominator == 1 for c in coords)
     return [int(c) for c in coords]
+
+
+@cache
+def _gamma16_basis_inverse() -> tuple[tuple[Fraction, ...], ...]:
+    inv = linalg.rational_inverse(linalg.transpose(gamma16_basis_vectors()))
+    return tuple(tuple(row) for row in inv)
 
 
 _STANDARD_KINDS = ("U", "E8", "An", "rank1", "NikulinN", "Gamma16")

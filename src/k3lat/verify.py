@@ -1,7 +1,8 @@
 """End-to-end verification checks behind ``k3lat verify-paper``.
 
 Each criterion is a function that raises AssertionError (with a readable
-message) on failure and returns a small detail dict on success.  The test
+message) or a domain error on failure and returns a small detail dict on
+success.  The test
 suite runs the same functions one by one; the CLI runs them all and prints a
 pass/fail line per criterion.  Everything is exact integer/rational
 arithmetic; the only randomness is the seeded draw of Weierstrass
@@ -29,6 +30,7 @@ from .elliptic import (
     torsion_section_translation_data,
     two_isogeny_quotient,
 )
+from .errors import K3LatError
 from .gluing import (
     nikulin_square_in_gamma16,
     nikulin_square_overlattice,
@@ -251,18 +253,13 @@ def check_generic_family(seed: int = DEFAULT_SEED) -> dict:
     """20 seeded degree-(4,8) pairs: 8 I_1 + 8 I_2, quotient swaps, NS and T data."""
     rng = random.Random(seed)
     a2m4b_weight = b_weight = 0
-    for trial in range(20):
+    for _ in range(20):
         fib = _random_weierstrass(rng)
-        rep = fiber_configuration(fib)
-        assert rep.all_multiplicative, f"trial {trial}: additive place"
-        assert rep.weight("I1") == 8, f"trial {trial}: I1 weight {rep.weight('I1')}"
-        assert rep.weight("I2") == 8, f"trial {trial}: I2 weight {rep.weight('I2')}"
-        for place in rep.places:
+        tors = torsion_section_translation_data(fib)  # raises unless 8 I_1 + 8 I_2 on their loci
+        for place in tors.fibers.places:
             if place.kodaira == "I2":
-                assert place.factor.divides(fib.b)
                 b_weight += place.degree
             elif place.kodaira == "I1":
-                assert place.factor.divides(fib.a * fib.a - 4 * fib.b)
                 a2m4b_weight += place.degree
         quot = two_isogeny_quotient(fib)
         qrep = fiber_configuration(quot)
@@ -270,7 +267,6 @@ def check_generic_family(seed: int = DEFAULT_SEED) -> dict:
         for place in qrep.places:
             if place.kodaira == "I2":
                 assert place.factor.divides(quot.b)  # the old (a^2-4b)-locus
-        tors = torsion_section_translation_data(fib)
         assert tors.tau_norm == -2 and tors.tau_dot_sigma == 0
         assert tors.tau_dot_fiber == 1 and set(tors.tau_dot_nodes) == {1}
         assert tors.ns_determinant == -64
@@ -411,6 +407,7 @@ CRITERIA = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run every criterion; a failed check or a domain error fails only its own."""
     results = []
     for number, title, func in CRITERIA:
         kwargs = {"seed": seed} if func in (check_generic_family, check_sixteen_gon_family) else {}
@@ -419,4 +416,6 @@ def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             results.append(CheckResult(number, title, True, detail))
         except AssertionError as exc:
             results.append(CheckResult(number, title, False, str(exc)))
+        except K3LatError as exc:
+            results.append(CheckResult(number, title, False, f"{exc.code}: {exc}"))
     return results

@@ -198,19 +198,52 @@ def test_ns_moduli_and_obstruction():
     assert payload["det_ratio_numerator"] == 8
 
 
+def _place(location, coefficients, degree, order, kodaira):
+    return {"location": location, "coefficients": coefficients, "degree": degree,
+            "order": order, "kodaira": kodaira}
+
+
+def _sixteen_gon_places(n):
+    """The I_16 example with I_n on its four finite places and I_{16/n} at infinity."""
+    return [
+        _place("t - 1", ["-1", "1"], 1, n, f"I{n}"),
+        _place("t + 1", ["1", "1"], 1, n, f"I{n}"),
+        _place("t^2 + 1", ["1", "0", "1"], 2, n, f"I{n}"),
+        _place("t^4 + 3", ["3", "0", "0", "0", "1"], 4, n, f"I{n}"),
+        _place("infinity", None, 1, 16 // n, f"I{16 // n}"),
+    ]
+
+
+_ADDITIVE_PLACES = [
+    _place("t", ["0", "1"], 1, 6, "additive/unsupported"),
+    _place("infinity", None, 1, 18, "additive/unsupported"),
+]
+
+
 def test_ell_fibers_sixteen_gon():
     payload = _ok(["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"])
-    infinity = [p for p in payload["places"] if p["location"] == "infinity"]
-    assert len(infinity) == 1 and infinity[0]["kodaira"] == "I16"
-    assert payload["order_sum"] == 24
+    assert payload == {
+        "places": _sixteen_gon_places(1), "order_sum": 24, "all_multiplicative": True,
+    }
 
 
 def test_ell_quotient():
     payload = _ok(["ell", "quotient", "--a", "1,0,0,0,1", "--b", "1"])
-    assert payload["a"] == ["-2", "0", "0", "0", "-2"]
-    assert payload["b"] == ["-3", "0", "0", "0", "2", "0", "0", "0", "1"]
-    infinity = [p for p in payload["fibers"]["places"] if p["location"] == "infinity"]
-    assert infinity[0]["kodaira"] == "I8"
+    assert payload == {
+        "a": ["-2", "0", "0", "0", "-2"],
+        "b": ["-3", "0", "0", "0", "2", "0", "0", "0", "1"],
+        "fibers": {
+            "places": _sixteen_gon_places(2), "order_sum": 24, "all_multiplicative": True,
+        },
+    }
+
+
+def test_ell_fibers_and_quotient_additive():
+    fibers = {"places": _ADDITIVE_PLACES, "order_sum": 24, "all_multiplicative": False}
+    assert _ok(["ell", "fibers", "--a", "0,1", "--b", "0,0,1"]) == fibers
+    assert _ok(["ell", "quotient", "--a", "0,1", "--b", "0,0,1"]) == {
+        "a": ["0", "-2"], "b": ["0", "0", "-3"], "fibers": fibers,
+    }
 
 
 def test_ell_shioda_tate():

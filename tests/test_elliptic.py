@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
@@ -30,6 +32,9 @@ def test_ratpoly_parse_and_canonical_form():
     assert RatPoly([]).is_zero
     with pytest.raises(BadInputError):
         RatPoly.from_string("1, x")
+    for bad in (5, ["a"], ["1/0"]):
+        with pytest.raises(BadInputError):
+            RatPoly(bad)
 
 
 def test_ratpoly_arithmetic():
@@ -48,14 +53,6 @@ def test_ratpoly_gcd_and_squarefree():
     p = RatPoly([1, 1]) * RatPoly([1, 1]) * RatPoly([2, 1])
     sf = squarefree_part(p)
     assert sf == (RatPoly([1, 1]) * RatPoly([2, 1])).monic()
-
-
-def test_ratpoly_reverse_chart():
-    a = RatPoly([1, 0, 0, 0, 1])  # 1 + t^4
-    ahat = a.reversed_padded(4)  # s^4 + 1
-    assert ahat.coeffs == (F(1), F(0), F(0), F(0), F(1))
-    b = RatPoly([1])
-    assert b.reversed_padded(8).coeffs == (F(0),) * 8 + (F(1),)
 
 
 def test_irreducible_factorization():
@@ -167,6 +164,51 @@ def test_double_quotient_scaling_identity():
     ] == [(p.location, p.order, p.kodaira) for p in fiber_configuration(fib).places]
 
 
+def _oracle_places(fib):
+    """Places from the definition: factor Delta, and Delta^ at s = 0 for infinity."""
+    places = []
+    for factor, mult in irreducible_factors(fib.discriminant):
+        additive = factor.divides(fib.a) and factor.divides(fib.b)
+        places.append(
+            (str(factor), factor.coeff_strings(), factor.degree, mult,
+             ADDITIVE if additive else f"I{mult}")
+        )
+    ahat = RatPoly([fib.a[4 - i] for i in range(5)])  # s^4 a(1/s)
+    bhat = RatPoly([fib.b[8 - i] for i in range(9)])  # s^8 b(1/s)
+    dhat = bhat * bhat * (ahat * ahat - 4 * bhat)
+    m_inf = next(i for i, c in enumerate(dhat.coeffs) if c)
+    if m_inf:
+        additive = ahat[0] == 0 and bhat[0] == 0
+        places.append(("infinity", None, 1, m_inf, ADDITIVE if additive else f"I{m_inf}"))
+    return places
+
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def fibrations(draw):
+    """deg a <= 4, deg b <= 8; half the time a shared linear factor makes a place additive."""
+    if draw(st.booleans()):
+        root = RatPoly([draw(COEFFS), 1])
+        a = RatPoly(draw(st.lists(COEFFS, max_size=4))) * root
+        b = RatPoly(draw(st.lists(COEFFS, max_size=8))) * root
+    else:
+        a = RatPoly(draw(st.lists(COEFFS, max_size=5)))
+        b = RatPoly(draw(st.lists(COEFFS, max_size=9)))
+    assume(not (b * b * (a * a - 4 * b)).is_zero)
+    return WeierstrassFibration(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibrations())
+def test_fiber_configuration_matches_factored_discriminant(fib):
+    report = fiber_configuration(fib)
+    got = [(p.location, p.factor.coeff_strings() if p.factor else None, p.degree, p.order,
+            p.kodaira) for p in report.places]
+    assert got == _oracle_places(fib)
+
+
 # -- Shioda-Tate -------------------------------------------------------------------
 
 
@@ -212,6 +254,7 @@ def test_torsion_section_report():
         RatPoly([3, 1, 0, 2, 1]), RatPoly([1, 4, 2, 0, 3, 1, 2, 1, 1])
     )
     rep = torsion_section_translation_data(fib)
+    assert rep.fibers.to_json() == fiber_configuration(fib).to_json()
     assert rep.tau == (1, 2, 0, 0, 0, 0, 0, 0, 0, -1)
     assert rep.tau_norm == -2
     assert rep.tau_dot_sigma == 0
@@ -224,6 +267,12 @@ def test_torsion_section_report():
 def test_torsion_section_rejects_wrong_shape():
     fib = WeierstrassFibration(RatPoly([1, 0, 0, 0, 1]), RatPoly([1]))  # I16 shape
     with pytest.raises(UnsupportedError):
+        torsion_section_translation_data(fib)
+    b = RatPoly([1])
+    for root in (1, 1, 2, 3, 4, 5, 6, 7):
+        b = b * RatPoly([-root, 1])
+    fib = WeierstrassFibration(RatPoly([1, 0, 0, 0, 1]), b)  # I4 at t = 1, good at infinity
+    with pytest.raises(UnsupportedError, match="8 x I_2"):
         torsion_section_translation_data(fib)
 
 

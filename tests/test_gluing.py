@@ -81,6 +81,12 @@ def test_non_dual_vector_rejected():
         glue(GlueData.of(hyperbolic_plane(2), [[F(1, 3), 0]]))
 
 
+@pytest.mark.parametrize("vectors", [[["a", 0]], [5], [["1/0", 0]]], ids=["str", "int", "1/0"])
+def test_malformed_glue_vectors_rejected(vectors):
+    with pytest.raises(BadInputError):
+        GlueData.of(hyperbolic_plane(2), vectors)
+
+
 def test_gamma16_glue():
     over = nikulin_square_overlattice()
     lat = over.lattice
