@@ -8,6 +8,7 @@ section together with their 2-isogeny quotients.
 
 from .errors import (
     BadInputError,
+    CheckFailed,
     DegenerateGramError,
     IsotropicComplementError,
     JsonInputError,

@@ -2,9 +2,9 @@
 
 Subcommands: lattice, disc, glue, k3, ns, ell, verify-paper.  Output is JSON;
 ``--json`` wraps it in a machine envelope {"status", "payload", "diagnostics"}.
-Exit codes: 0 ok, 1 domain error (with a machine-readable code), 2 usage
-error, 3 malformed JSON input.  Output is deterministic for fixed input; the
-seeded checks take ``--seed``.
+Exit codes: 0 ok, 1 domain error or failed check (with a machine-readable
+code), 2 usage error, 3 malformed JSON input.  Output is deterministic for
+fixed input; the seeded checks take ``--seed``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, JsonInputError, K3LatError
+from .errors import BadInputError, JsonInputError, K3LatError, UnsupportedError
 from .lattice import (
     _STANDARD_KINDS,
     Lattice,
@@ -52,9 +52,19 @@ class CommandResult:
     json_mode: bool = False
 
 
+def _decimal(x) -> str:
+    try:
+        return str(x)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise UnsupportedError(f"result too long to print: {exc}") from exc
+
+
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
+        return _decimal(x) if x.denominator != 1 else _jsonable(x.numerator)
+    if isinstance(x, int) and x.bit_length() > 3 * sys.get_int_max_str_digits():
+        _decimal(x)  # json prints ints with str(); below 3n bits (2^(3n) < 10^n) they always fit
+        return x
     if isinstance(x, Lattice):
         return x.to_json()
     if isinstance(x, RatPoly):
@@ -71,7 +81,7 @@ def _jsonable(x):
 def _parse_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise JsonInputError(f"malformed JSON: {exc}") from exc
 
 
@@ -224,7 +234,7 @@ def _cmd_ell_quotient(ns):
 
 def _cmd_ell_shioda_tate(ns):
     rank, disc = shioda_tate(parse_fiber_list(ns.fibers), ns.torsion, ns.mw)
-    return {"picard_rank": rank, "ns_discriminant": str(disc)}, []
+    return {"picard_rank": rank, "ns_discriminant": _decimal(disc)}, []
 
 
 def _cmd_verify_paper(ns):
@@ -348,6 +358,7 @@ def run(argv) -> CommandResult:
     json_mode = bool(getattr(ns, "json", False))
     try:
         payload, diagnostics = ns.handler(ns)
+        payload = _jsonable(payload)
     except JsonInputError as exc:
         return CommandResult("error", None, [str(exc)], 3, exc.code, json_mode)
     except K3LatError as exc:
@@ -355,7 +366,7 @@ def run(argv) -> CommandResult:
     exit_code = 0
     if getattr(ns, "command", "") == "verify-paper" and not payload["all_passed"]:
         exit_code = 1
-    return CommandResult("ok", _jsonable(payload), diagnostics, exit_code, None, json_mode)
+    return CommandResult("ok", payload, diagnostics, exit_code, None, json_mode)
 
 
 def main(argv=None) -> int:

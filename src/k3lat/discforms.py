@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, OddLatticeError, UnsupportedError
+from .errors import BadInputError, OddLatticeError, UnsupportedError, require
 from . import linalg
 from .lattice import Lattice, direct_sum, hyperbolic_plane
 
@@ -59,16 +59,20 @@ class FiniteQuadraticForm:
         return (0,) * len(self.invariant_factors)
 
     def reduce(self, coeffs) -> DiscElement:
+        if len(coeffs) != len(self.invariant_factors):
+            raise BadInputError(f"element {tuple(coeffs)} does not lie in {self}")
         return tuple(int(c) % d for c, d in zip(coeffs, self.invariant_factors))
 
     def add(self, x: DiscElement, y: DiscElement) -> DiscElement:
-        return self.reduce(a + b for a, b in zip(x, y))
+        if len(x) != len(y):
+            raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not lie in one group")
+        return self.reduce([a + b for a, b in zip(x, y)])
 
     def neg(self, x: DiscElement) -> DiscElement:
-        return self.reduce(-a for a in x)
+        return self.reduce([-a for a in x])
 
     def scale(self, n: int, x: DiscElement) -> DiscElement:
-        return self.reduce(n * a for a in x)
+        return self.reduce([n * a for a in x])
 
     def elements(self):
         """All elements in lexicographic residue order."""
@@ -101,6 +105,8 @@ class FiniteQuadraticForm:
         """Quadratic form value in Q/2Z, reduced into [0, 2)."""
         pair = self._pair
         k = len(x)
+        if k != len(pair):
+            raise BadInputError(f"element {tuple(x)} does not lie in {self}")
         total = 0
         for i in range(k):
             xi = x[i]
@@ -115,6 +121,8 @@ class FiniteQuadraticForm:
 
     def b(self, x: DiscElement, y: DiscElement) -> Fraction:
         """Bilinear form value in Q/Z, reduced into [0, 1)."""
+        if not len(x) == len(y) == len(self._pair):
+            raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not both lie in {self}")
         total = 0
         for ci, row in zip(x, self._pair):
             if ci:
@@ -156,22 +164,15 @@ def qK_on_U2_cubed() -> dict:
     """
     base = direct_sum([hyperbolic_plane(2)] * 3, name="U(2)^3")
     form = discriminant_form(base)
-    assert form.invariant_factors == (2,) * 6
-    counts = Counter()
-    checked = 0
-    for bits in itertools.product((0, 1), repeat=6):
-        vec = [Fraction(b, 2) for b in bits]  # order e1,f1,e2,f2,e3,f3
-        elem = form.element_of(vec)
-        got = form.q(elem)
-        expected = Fraction((bits[0] * bits[1] + bits[2] * bits[3] + bits[4] * bits[5]) % 2)
-        if got != expected:
-            raise AssertionError(
-                f"q mismatch at {bits}: machinery gives {got}, hyperbolic form {expected}"
-            )
-        counts[got] += 1
-        checked += 1
+    require(form.invariant_factors == (2,) * 6, f"A_U(2)^3 is {form}, not (Z/2)^6")
+    q_values = {}
+    for bits in itertools.product((0, 1), repeat=6):  # order e1,f1,e2,f2,e3,f3
+        q_values[bits] = form.q(form.element_of([Fraction(b, 2) for b in bits]))
+    bad = [b for b, got in q_values.items() if got != (b[0] * b[1] + b[2] * b[3] + b[4] * b[5]) % 2]
+    require(not bad, f"q disagrees with x1x2 + x3x4 + x5x6 at {bad[:1]}")
+    counts = Counter(q_values.values())
     return {
-        "elements_checked": checked,
+        "elements_checked": len(q_values),
         "q_zero": counts[Fraction(0)],
         "q_one": counts[Fraction(1)],
     }

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import BadInputError, UnsupportedError
+from .errors import BadInputError, UnsupportedError, require
 from .discforms import lattice_fingerprint
 from .lattice import Lattice, a_n, direct_sum, hyperbolic_plane, nikulin, nikulin_node_coords
 
@@ -231,9 +231,8 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     for f, e in out:
         for _ in range(e):
             product = product * f
-    assert (p * product.leading() - product * p.leading()).is_zero, (
-        "factorization does not multiply back to the input"
-    )
+    back = (p * product.leading() - product * p.leading()).is_zero
+    require(back, f"the factors of a degree-{p.degree} polynomial do not multiply back to it")
     return out
 
 
@@ -354,7 +353,8 @@ def fiber_configuration(f: WeierstrassFibration) -> FiberReport:
         kodaira = ADDITIVE if additive else f"I{m_inf}"
         places.append(FiberPlace("infinity", None, 1, m_inf, kodaira))
     report = FiberReport(places)
-    assert report.order_sum() == 24
+    total = report.order_sum()
+    require(total == 24, f"fiber orders of the {len(places)} places sum to {total}, not 24")
     return report
 
 
@@ -503,7 +503,7 @@ def _cycle_gram(n: int) -> list[list[int]]:
     return g
 
 
-def i16_component_permutation(n_components: int = 16, shift: int = 8) -> SixteenGonReport:
+def i16_component_permutation() -> SixteenGonReport:
     """Translation action on the 16 components of the I_16 fiber.
 
     Components C_0..C_15 form a cycle of (-2)-curves; translation by the
@@ -512,10 +512,8 @@ def i16_component_permutation(n_components: int = 16, shift: int = 8) -> Sixteen
     and C_8), carry the two orthogonal E8(-1) blocks; the permutation swaps
     the windows.
     """
-    if n_components != 16 or shift != 8:
-        raise BadInputError("the component permutation is defined for (16, 8)")
-    perm = tuple((i + shift) % n_components for i in range(n_components))
-    is_involution = all(perm[perm[i]] == i for i in range(n_components))
+    perm = tuple((i + 8) % 16 for i in range(16))
+    is_involution = all(perm[perm[i]] == i for i in range(16))
     window_a = tuple(i % 16 for i in range(-2, 5))
     window_b = tuple(range(6, 13))
     windows_swapped = set(perm[i] for i in window_a) == set(window_b)

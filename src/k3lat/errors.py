@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and ``require``, the one way a check fails.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit it
 verbatim; messages are for humans.
@@ -69,3 +69,15 @@ class JsonInputError(K3LatError):
     """Malformed JSON supplied on the command line."""
 
     code = "malformed_json"
+
+
+class CheckFailed(K3LatError):
+    """A claim or an internal invariant does not hold."""
+
+    code = "check_failed"
+
+
+def require(cond, message: str) -> None:
+    """Raise CheckFailed(message) unless cond; unlike assert, it runs under python -O."""
+    if not cond:
+        raise CheckFailed(message)

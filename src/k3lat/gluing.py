@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, NonIsotropicGlueError, NotDualVectorError
+from .errors import BadInputError, NonIsotropicGlueError, NotDualVectorError, require
 from . import linalg
 from .discforms import _closure, discriminant_form
 from .lattice import (
@@ -97,37 +97,34 @@ def glue(data: GlueData) -> Overlattice:
     rows = [[denom * x for x in row] for row in linalg.identity_matrix(n)]
     rows += [[int(c * denom) for c in v] for v in data.glue_vectors]
     hnf = linalg.hermite_normal_form(rows)
-    _require(len(hnf) == n, "glue HNF does not have full rank")
+    require(len(hnf) == n, f"glue HNF has rank {len(hnf)}, not the base rank {n}")
     index = denom ** n // math.prod(hnf[i][i] for i in range(n))
-    _require(index == order, "overlattice index disagrees with the glue subgroup order")
+    require(index == order, f"overlattice index {index} != glue subgroup order {order}")
 
-    new_gram = []
-    for row in linalg.pairing_matrix(hnf, gram):  # H G H^T = denom^2 * new Gram
-        quots = [divmod(x, denom * denom) for x in row]
-        _require(not any(r for _, r in quots), "glued form is not integral")
-        new_gram.append([q for q, _ in quots])
-    _require(all(new_gram[i][i] % 2 == 0 for i in range(n)), "glued lattice is not even")
+    scaled = linalg.pairing_matrix(hnf, gram)  # H G H^T = denom^2 * new Gram
+    d2 = denom * denom
+    bad = next(((i, j) for i, row in enumerate(scaled) for j, x in enumerate(row) if x % d2), None)
+    require(bad is None, f"glued Gram entry {bad} is not integral")
+    new_gram = [[x // d2 for x in row] for row in scaled]
+    bad = next((i for i in range(n) if new_gram[i][i] % 2), None)
+    require(bad is None, f"glued Gram diagonal entry {bad} is odd: the overlattice is not even")
     over = Lattice(new_gram, name=None)
 
     # row i of the inclusion is e_i in the new basis H / denom: inc * H = denom * I,
     # solved by forward substitution over the columns of the triangular H
     inclusion = []
+    inexact = []
     for i in range(n):
         row = [0] * n
         for j in range(i, n):
             rest = (denom if j == i else 0) - sum(row[k] * hnf[k][j] for k in range(i, j))
             row[j], r = divmod(rest, hnf[j][j])
-            _require(r == 0, "base vector is not integral in the overlattice basis")
+            if r:
+                inexact.append((i, j))
         inclusion.append(tuple(row))
+    require(not inexact, f"base vectors are not integral in the overlattice basis at {inexact[:3]}")
     basis = tuple(tuple(Fraction(x, denom) for x in row) for row in hnf)
     return Overlattice(over, basis, tuple(inclusion), base, order)
-
-
-def _require(cond: bool, message: str) -> None:
-    # explicit raise rather than assert: a failed check must not be skipped
-    # under python -O, where a floored quotient would go unnoticed
-    if not cond:
-        raise AssertionError(message)
 
 
 def is_primitive(ambient: Lattice, vectors) -> tuple[bool, list[int]]:
@@ -223,12 +220,6 @@ def nikulin_square_in_gamma16() -> dict:
     embedding with both factors primitive and image of index 2^6.
     """
     base = nikulin_square_base()
-
-    def unit(i):
-        v = [Fraction(0)] * 16
-        v[i] = Fraction(1)
-        return v
-
     first_images = []
     for i in range(1, 8):
         v = [Fraction(0)] * 16
@@ -259,12 +250,6 @@ def nikulin_square_in_gamma16() -> dict:
     prim_second, tors_second = is_primitive(ambient, coords[8:])
     index = abs(linalg.bareiss_determinant(coords))
 
-    e1p9 = [a + b for a, b in zip(unit(0), unit(8))]
-    e1m9 = [a - b for a, b in zip(unit(0), unit(8))]
-    spot = {
-        "pair_orthogonal": _ambient_pair(e1p9, e1m9) == 0,
-        "norm_minus_two": _ambient_pair(e1p9, e1p9) == -2,
-    }
     return {
         "isometric_embedding": isometric,
         "in_gamma16": membership,
@@ -272,7 +257,6 @@ def nikulin_square_in_gamma16() -> dict:
         "second_factor_primitive": prim_second,
         "cokernel_factors": [tors_first, tors_second],
         "index": index,
-        "spot_checks": spot,
     }
 
 

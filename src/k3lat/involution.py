@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInputError
+from .errors import BadInputError, require
 from . import linalg
 from .discforms import lattice_fingerprint
 from .gluing import is_primitive, u2cubed_nikulin_overlattice
@@ -81,7 +81,7 @@ def str_invariants(module: InvolutionModule) -> STRInvariants:
     r = linalg.rank_mod2(g_minus)
     s = f_plus - r
     t = f_minus - r
-    assert s >= 0 and t >= 0 and s + t + 2 * r == n
+    require(s >= 0 and t >= 0 and s + t + 2 * r == n, f"(s,t,r) = {(s, t, r)} in rank {n}")
     return STRInvariants(s, t, r)
 
 
@@ -102,10 +102,10 @@ def invariant_and_antiinvariant(module: InvolutionModule) -> FixedSublattices:
     gram = module.lattice.gram_rows()
     inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram)) if inv_basis else Lattice([])
     anti_lat, anti_basis = orthogonal_complement(module.lattice, inv_basis)
-    for basis in (inv_basis, anti_basis):
+    for which, basis in (("invariant", inv_basis), ("anti-invariant", anti_basis)):
         if basis:
             ok, torsion = is_primitive(module.lattice, basis)
-            assert ok, f"sublattice unexpectedly imprimitive: cokernel {torsion}"
+            require(ok, f"{which} sublattice is not primitive: cokernel {torsion}")
     return FixedSublattices(inv_lat, inv_basis, anti_lat, anti_basis)
 
 
@@ -231,7 +231,7 @@ class QuotientCohomology:
             raise BadInputError("vector is not in the glued Y-side lattice")
         doubled = linalg.mat_vec(self.pull_matrix, [2 * x for x in ws])
         halved = [x / 2 for x in doubled]
-        assert all(x.denominator == 1 for x in halved), "extended pull left the lattice"
+        require(all(x.denominator == 1 for x in halved), f"extended pull of {w} left the lattice")
         return [int(x) for x in halved]
 
     # -- verification ---------------------------------------------------------

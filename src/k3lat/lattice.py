@@ -24,6 +24,7 @@ from .errors import (
     DegenerateGramError,
     IsotropicComplementError,
     NotDefiniteError,
+    require,
 )
 from . import linalg
 
@@ -299,7 +300,8 @@ def gamma16_coordinates(x) -> list[int]:
         raise BadInputError("vector is not in Gamma16")
     xs = [Fraction(v) for v in x]
     coords = linalg.mat_vec(_gamma16_basis_inverse(), xs)
-    assert all(c.denominator == 1 for c in coords)
+    bad = [str(c) for c in coords if c.denominator != 1]
+    require(not bad, f"Gamma16 coordinates {bad} of a Gamma16 vector are not integral")
     return [int(c) for c in coords]
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, NotPrimitiveError
+from .errors import BadInputError, NotPrimitiveError, require
 from . import linalg
 from .discforms import (
     Fingerprint,
@@ -95,7 +95,7 @@ def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
         )
     half = [Fraction(1, 2)] + [Fraction(c, 2) for c in v]
     over = glue(GlueData.of(base, [half]))
-    assert over.glue_order == 2
+    require(over.glue_order == 2, f"{base.name} glued along v = {v}: index {over.glue_order}")
     e8_rows = [list(over.inclusion[i]) for i in range(1, 9)]
     primitive, torsion = is_primitive(over.lattice, e8_rows)
     if not primitive:
@@ -147,7 +147,8 @@ def k3_model_with_u_plus_n():
         vectors.append(v)
     over = glue(GlueData.of(base, vectors))
     ambient = Lattice(over.lattice.gram_rows(), name="K3 model")
-    assert ambient.determinant == -1 and ambient.signature.as_pair() == (3, 19)
+    got = (ambient.determinant, ambient.signature.as_pair())
+    require(got == (-1, (3, 19)), f"K3 model with U + N: (det, signature) = {got}")
     ns_basis = [list(over.inclusion[i]) for i in range(10)]
     return ambient, ns_basis
 
@@ -206,7 +207,7 @@ def det_square_class_obstruction(rank_t: int) -> SquareClassReport:
     d = 22 - 8 - rank_t
     num = 2 ** (d + 2)
     report = SquareClassReport(num, 1, _is_rational_square(num, 1), rank_t, d)
-    assert report.is_square == (rank_t % 2 == 0)
+    require(report.is_square == (rank_t % 2 == 0), f"wrong square class in {report}")
     return report
 
 
@@ -245,8 +246,8 @@ def eigenspace_dimensions(two_d: int, variant: str = "plain") -> EigenspaceRepor
     else:
         raise BadInputError(f"unknown variant {variant!r}")
     d = two_d // 2
-    assert rep.h_plus + rep.h_minus == d + 2
-    assert rep.fixed_points_plus + rep.fixed_points_minus == 8
+    require(rep.h_plus + rep.h_minus == d + 2, f"h+ + h- != d + 2 = {d + 2} in {rep}")
+    require(rep.fixed_points_plus + rep.fixed_points_minus == 8, f"not 8 fixed points in {rep}")
     return rep
 
 
@@ -272,7 +273,6 @@ def count_invariant_monomials(
     negated,
     degree: int,
     parity: str = "invariant",
-    exclude=None,
 ) -> int:
     """Count degree-d monomials with even (or odd) total degree in the negated variables."""
     if degree < 0:
@@ -283,11 +283,8 @@ def count_invariant_monomials(
     if any(i < 0 or i >= num_vars for i in negated):
         raise BadInputError("negated indices out of range")
     want_odd = parity == "anti_invariant"
-    banned = {tuple(e) for e in exclude} if exclude else set()
     count = 0
     for expo in _compositions(degree, num_vars):
-        if expo in banned:
-            continue
         neg_degree = sum(expo[i] for i in negated)
         if (neg_degree % 2 == 1) == want_odd:
             count += 1

@@ -6,13 +6,24 @@ tolerances are exact (integer/rational equality); the two seeded criteria use
 the fixed default seed.
 """
 
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import k3lat
 from k3lat import nsfamilies, verify
 from k3lat.cli import run
 from k3lat.elliptic import RatPoly, WeierstrassFibration
 from k3lat.errors import K3LatError
+from k3lat.nsfamilies import EigenspaceReport
 from k3lat.verify import CRITERIA, DEFAULT_SEED
+
+PACKAGE = Path(k3lat.__file__).parent
 
 
 @pytest.mark.parametrize(
@@ -21,7 +32,7 @@ from k3lat.verify import CRITERIA, DEFAULT_SEED
 def test_criterion(number, title, func):
     try:
         detail = func()
-    except (AssertionError, K3LatError):
+    except K3LatError:
         print(f"[FAIL] criterion {number}: {title}")
         raise
     print(f"[PASS] criterion {number}: {title}")
@@ -41,6 +52,10 @@ def _sixteen_gon(rng):
     return WeierstrassFibration(RatPoly([1, 0, 0, 0, 1]), RatPoly([1]))
 
 
+def _zero_table(two_d, variant="plain"):
+    return EigenspaceReport(0, 0, 0, 0)
+
+
 @pytest.mark.parametrize(
     "module, name, replacement, failing, code",
     [
@@ -53,8 +68,9 @@ def _sixteen_gon(rng):
             "bad_input",
         ),
         (verify, "_random_weierstrass", _sixteen_gon, [9], "unsupported"),
+        (verify, "eigenspace_dimensions", _zero_table, [8], "check_failed"),
     ],
-    ids=["glue-vector", "i16-pair"],
+    ids=["glue-vector", "i16-pair", "eigenspace-table"],
 )
 def test_domain_error_fails_only_its_criteria(
     monkeypatch, module, name, replacement, failing, code
@@ -64,3 +80,50 @@ def test_domain_error_fails_only_its_criteria(
     assert [r.number for r in results] == [n for n, _, _ in CRITERIA]
     assert [r.number for r in results if not r.passed] == failing
     assert all(r.detail.startswith(f"{code}: ") for r in results if not r.passed)
+
+
+def _run_optimized(*args):
+    """Run ``python -O`` with this package importable, as a user would."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+
+
+_BROKEN_TABLE = """
+import json, sys
+from k3lat import verify
+from k3lat.nsfamilies import EigenspaceReport
+verify.eigenspace_dimensions = lambda two_d, variant="plain": EigenspaceReport(0, 0, 0, 0)
+results = verify.run_all(0)
+print(json.dumps({"optimize": sys.flags.optimize,
+                  "failed": {r.number: r.detail for r in results if not r.passed}}))
+"""
+
+
+def test_checks_still_fail_under_python_O():
+    proc = _run_optimized("-c", _BROKEN_TABLE)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert out["failed"] == {
+        "8": "check_failed: eigenspaces(6,plain) = (0, 0, 0, 0) != (3, 2, 6, 2)"
+    }
+    proc = _run_optimized("-m", "k3lat.cli", "--json", "verify-paper")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["all_passed"] is True
+
+
+def test_no_assert_statements_in_the_package():
+    # assert is stripped under python -O; every check goes through errors.require
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import sympy
 
 from k3lat.cli import build_parser, main, run
 from k3lat.gluing import u2cubed_nikulin_base, u2cubed_nikulin_glue_vectors
@@ -260,6 +261,18 @@ def test_ell_shioda_tate_mw_unsupported():
 _PUSH_HALF = json.dumps([1.5] + [0] * 29)
 
 
+def _assert_error_envelope(argv, exit_code, code, capsys):
+    """Plain mode writes a JSON error to stderr only; --json writes the envelope."""
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["status"] == "error" and error["code"] == code
+    assert main(["--json"] + argv) == exit_code
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["status"] == "error" and envelope["error_code"] == code
+
+
 @pytest.mark.parametrize(
     "argv, file_text",
     [
@@ -278,14 +291,45 @@ def test_malformed_input_is_bad_input_envelope(argv, file_text, tmp_path, capsys
         path = tmp_path / "lattice.json"
         path.write_text(file_text)
         argv = [str(path) if a == "FILE" else a for a in argv]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)
-    assert error["status"] == "error" and error["code"] == "bad_input"
-    assert main(["--json"] + argv) == 1
-    envelope = json.loads(capsys.readouterr().out)
-    assert envelope["status"] == "error" and envelope["error_code"] == "bad_input"
+    _assert_error_envelope(argv, 1, "bad_input", capsys)
+
+
+_LONG_ENTRY = '{"gram": [[' + "2" * 4401 + "]]}"
+_DIAGONAL_1001_DIGITS = json.dumps(
+    {"gram": [[10 ** 1000 if i == j else 0 for j in range(5)] for i in range(5)]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv, file_text, exit_code, code",
+    [
+        (["lattice", "info", "--file", "FILE"], _LONG_ENTRY, 3, "malformed_json"),
+        (["lattice", "info", "--file", "FILE"], _DIAGONAL_1001_DIGITS, 1, "unsupported"),
+        (["ell", "shioda-tate", "--fibers", "I3:10000", "--torsion", "1"], None, 1, "unsupported"),
+    ],
+    ids=["input-4401-digits", "det-5000-digits", "disc-4772-digits"],
+)
+def test_numbers_beyond_the_digit_limit_end_in_an_envelope(
+    argv, file_text, exit_code, code, tmp_path, capsys
+):
+    if file_text is not None:
+        path = tmp_path / "lattice.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    _assert_error_envelope(argv, exit_code, code, capsys)
+
+
+def test_failed_library_check_is_a_check_failed_envelope(monkeypatch, capsys):
+    factor_list = sympy.Poly.factor_list
+
+    def drop_a_factor(poly):
+        unit, factors = factor_list(poly)
+        return unit, factors[1:]
+
+    # irreducible_factors multiplies the factors back and must notice the loss
+    monkeypatch.setattr(sympy.Poly, "factor_list", drop_a_factor)
+    argv = ["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"]
+    _assert_error_envelope(argv, 1, "check_failed", capsys)
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -280,7 +280,7 @@ def test_torsion_section_rejects_wrong_shape():
 
 
 def test_i16_permutation_report():
-    rep = i16_component_permutation(16, 8)
+    rep = i16_component_permutation()
     assert rep.permutation[0] == 8
     assert rep.is_involution
     assert set(rep.window_a) == {14, 15, 0, 1, 2, 3, 4}
@@ -288,10 +288,3 @@ def test_i16_permutation_report():
     assert rep.windows_swapped
     assert rep.chains_are_a7
     assert rep.e8_fingerprints_ok
-
-
-def test_i16_rejects_malformed_parameters():
-    with pytest.raises(BadInputError):
-        i16_component_permutation(12, 6)
-    with pytest.raises(BadInputError):
-        i16_component_permutation(16, 4)

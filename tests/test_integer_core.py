@@ -99,6 +99,26 @@ def test_element_of_rejects_wrong_length():
             form.element_of(vec)
 
 
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("q", [(1,)]),
+        ("q", [(1,) * 7]),
+        ("b", [(1,), (1,) * 6]),
+        ("b", [(1,) * 6, (1,) * 7]),
+        ("add", [(1,), (1,) * 6]),
+        ("add", [(1,) * 7, (1,) * 6]),
+        ("reduce", [[1, 2, 3]]),
+        ("neg", [(1,) * 7]),
+        ("scale", [3, (1,)]),
+    ],
+)
+def test_form_rejects_elements_of_the_wrong_length(method, args):
+    form = discriminant_form(nikulin())  # A_N = (Z/2)^6
+    with pytest.raises(BadInputError, match="lie in"):
+        getattr(form, method)(*args)
+
+
 def _oracle_table(form, matrix):
     return {x: form.element_of(linalg.mat_vec(matrix, form.lift(x))) for x in form.elements()}
 

@@ -210,12 +210,6 @@ def test_monomial_count_sum_identity():
                 assert inv + anti == comb(n + d - 1, d)
 
 
-def test_monomial_exclusion():
-    total = count_invariant_monomials(3, {0}, 6)
-    without_pure = count_invariant_monomials(3, {0}, 6, exclude=[(6, 0, 0)])
-    assert without_pure == total - 1
-
-
 def test_monomial_validation():
     with pytest.raises(BadInputError):
         count_invariant_monomials(3, {0}, -1)
