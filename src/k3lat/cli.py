@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, JsonInputError, K3LatError, UnsupportedError
+from .errors import BadInputError, JsonInputError, K3LatError, decimal
 from .lattice import (
     _STANDARD_KINDS,
     Lattice,
@@ -52,18 +52,11 @@ class CommandResult:
     json_mode: bool = False
 
 
-def _decimal(x) -> str:
-    try:
-        return str(x)
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise UnsupportedError(f"result too long to print: {exc}") from exc
-
-
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return _decimal(x) if x.denominator != 1 else _jsonable(x.numerator)
+        return decimal(x) if x.denominator != 1 else _jsonable(x.numerator)
     if isinstance(x, int) and x.bit_length() > 3 * sys.get_int_max_str_digits():
-        _decimal(x)  # json prints ints with str(); below 3n bits (2^(3n) < 10^n) they always fit
+        decimal(x)  # json prints ints with str(); below 3n bits (2^(3n) < 10^n) they always fit
         return x
     if isinstance(x, Lattice):
         return x.to_json()
@@ -165,7 +158,7 @@ def _cmd_glue(ns):
         "lattice": over.lattice.to_json(),
         "verification": verification_block(over),
         "inclusion": [list(r) for r in over.inclusion],
-        "basis_in_base": [[str(x) for x in row] for row in over.basis_in_base],
+        "basis_in_base": [[decimal(x) for x in row] for row in over.basis_in_base],
     }
     return payload, []
 
@@ -234,7 +227,7 @@ def _cmd_ell_quotient(ns):
 
 def _cmd_ell_shioda_tate(ns):
     rank, disc = shioda_tate(parse_fiber_list(ns.fibers), ns.torsion, ns.mw)
-    return {"picard_rank": rank, "ns_discriminant": _decimal(disc)}, []
+    return {"picard_rank": rank, "ns_discriminant": decimal(disc)}, []
 
 
 def _cmd_verify_paper(ns):
@@ -259,12 +252,10 @@ def _cmd_verify_paper(ns):
 # -- parser ------------------------------------------------------------------
 
 
-def _add_lattice_source(parser, with_param=True):
+def _add_lattice_source(parser):
     parser.add_argument("--std", choices=_STANDARD_KINDS)
     parser.add_argument("--twist", type=int, default=1)
-    if with_param:
-        parser.add_argument("--param", type=int, default=None,
-                            help="n for An, m for rank1")
+    parser.add_argument("--param", type=int, default=None, help="n for An, m for rank1")
     parser.add_argument("--file", help="lattice JSON file")
 
 

@@ -4,11 +4,11 @@ The model has a visible 2-torsion section at (0, 0); deg a <= 4 and deg b <= 8
 keep the family K3-sized and minimal at infinity in the fixed chart u = s^4 x,
 v = s^6 y.  Discriminants are kept unit-free (constants are dropped since only
 vanishing orders enter the multiplicative fiber types I_n).  The discriminant
-comes factored, Delta = b^2 (a^2 - 4b), so fiber types are read off the
-factorizations of b and a^2 - 4b (degree <= 8 each); the degree-24 Delta is
-never factored.  The quotient by translation by the 2-torsion section is the
-standard 2-isogeny model (a, b) -> (-2a, a^2 - 4b), which swaps the b-locus
-and the (a^2 - 4b)-locus.
+comes factored, Delta = b^2 c with c = a^2 - 4b.  A fibration stores c once
+and never multiplies Delta out: fiber types are read off the factorizations
+of b and c (degree <= 8 each), and deg Delta = 2 deg b + deg c.  The quotient
+by translation by the 2-torsion section is the standard 2-isogeny model
+(a, b) -> (-2a, c), which swaps the b-locus and the c-locus.
 
 Moduli note: the Weierstrass parameter count for the generic family is
 5 + 9 = 14 coefficients minus 1 for the (x, y) scaling and minus 3 for the
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import BadInputError, UnsupportedError, require
+from .errors import BadInputError, UnsupportedError, decimal, require
 from .discforms import lattice_fingerprint
 from .lattice import Lattice, a_n, direct_sum, hyperbolic_plane, nikulin, nikulin_node_coords
 
@@ -165,7 +165,7 @@ class RatPoly:
         return RatPoly(ints)
 
     def coeff_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return [decimal(c) for c in self.coeffs]
 
     def __str__(self):
         if self.is_zero:
@@ -178,10 +178,10 @@ class RatPoly:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if i == 0:
-                body = f"{mag}"
+                body = decimal(mag)
             else:
                 var = "t" if i == 1 else f"t^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{decimal(mag)}*{var}"
             terms.append((sign, body))
         first_sign, first_body = terms[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -258,25 +258,25 @@ class WeierstrassFibration:
             raise BadInputError("deg a must be at most 4")
         if b.degree > 8:
             raise BadInputError("deg b must be at most 8")
-        disc = b * b * (a * a - 4 * b)
-        if disc.is_zero:
+        c = a * a - 4 * b
+        if b.is_zero or c.is_zero:
             raise BadInputError("degenerate family: discriminant b^2(a^2-4b) vanishes")
         self.a = a
         self.b = b
-        self._disc = disc
+        self.c = c
 
     @property
     def discriminant(self) -> RatPoly:
-        """b^2 (a^2 - 4b), constant units dropped by convention."""
-        return self._disc
+        """b^2 c, constant units dropped by convention."""
+        return self.b * self.b * self.c
 
     def __repr__(self):
         return f"WeierstrassFibration(a={self.a}, b={self.b})"
 
 
 def two_isogeny_quotient(f: WeierstrassFibration) -> WeierstrassFibration:
-    """Quotient by translation by the 2-torsion section: (a, b) -> (-2a, a^2 - 4b)."""
-    return WeierstrassFibration(-2 * f.a, f.a * f.a - 4 * f.b)
+    """Quotient by translation by the 2-torsion section: (a, b) -> (-2a, c)."""
+    return WeierstrassFibration(-2 * f.a, f.c)
 
 
 ADDITIVE = "additive/unsupported"
@@ -331,23 +331,23 @@ class FiberReport:
 def fiber_configuration(f: WeierstrassFibration) -> FiberReport:
     """Kodaira I_n data of the singular fibers, including the place at infinity.
 
-    Delta = b^2 (a^2 - 4b) comes factored, so Delta itself is never factored:
-    an irreducible factor of b of multiplicity m adds 2m to the order of its
-    place, one of a^2 - 4b adds m.  An irreducible p divides both b and
-    a^2 - 4b exactly when it divides a and b, so a place is additive iff its
-    factor occurs in both lists; otherwise it has type I_order.  The place at
-    infinity has order 24 - deg Delta and is additive iff deg a < 4 and
+    Delta = b^2 c comes factored, so Delta itself is never formed: an
+    irreducible factor of b of multiplicity m adds 2m to the order of its
+    place, one of c = a^2 - 4b adds m.  An irreducible p divides both b and c
+    exactly when it divides a and b, so a place is additive iff its factor
+    occurs in both lists; otherwise it has type I_order.  The place at
+    infinity has order 24 - 2 deg b - deg c and is additive iff deg a < 4 and
     deg b < 8, i.e. a^(0) = b^(0) = 0 in the chart a^(s) = s^4 a(1/s),
     b^(s) = s^8 b(1/s).
     """
     on_b = dict(irreducible_factors(f.b))
-    on_c = dict(irreducible_factors(f.a * f.a - 4 * f.b))
+    on_c = dict(irreducible_factors(f.c))
     places = []
     for factor in sorted(on_b.keys() | on_c.keys(), key=lambda p: (p.degree, p.coeffs)):
         order = 2 * on_b.get(factor, 0) + on_c.get(factor, 0)
         kodaira = ADDITIVE if factor in on_b and factor in on_c else f"I{order}"
         places.append(FiberPlace(str(factor), factor, factor.degree, order, kodaira))
-    m_inf = 24 - f.discriminant.degree
+    m_inf = 24 - 2 * f.b.degree - f.c.degree
     if m_inf > 0:
         additive = f.a.degree < 4 and f.b.degree < 8
         kodaira = ADDITIVE if additive else f"I{m_inf}"
@@ -434,12 +434,9 @@ def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionR
         raise UnsupportedError("expected a good fiber at infinity for the generic shape")
     if report.weight("I2") != 8 or report.weight("I1") != 8:
         raise UnsupportedError("expected the generic 8 x I_2 + 8 x I_1 shape")
-    a2m4b = f.a * f.a - 4 * f.b
     for place in report.places:
         if place.kodaira == "I2" and not place.factor.divides(f.b):
             raise UnsupportedError("an I_2 place does not sit on the b-locus")
-        if place.kodaira == "I1" and not place.factor.divides(a2m4b):
-            raise UnsupportedError("an I_1 place does not sit on the (a^2-4b)-locus")
     return TorsionSectionReport(fibers=report, **_u_plus_n_section_data())
 
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and ``require``, the one way a check fails.
+"""Exception hierarchy shared by all modules, ``require``, the one way a check
+fails, and ``decimal``, the one way a number becomes text.
 
 Every error carries a short machine-readable ``code`` so the CLI can emit it
 verbatim; messages are for humans.
@@ -81,3 +82,11 @@ def require(cond, message: str) -> None:
     """Raise CheckFailed(message) unless cond; unlike assert, it runs under python -O."""
     if not cond:
         raise CheckFailed(message)
+
+
+def decimal(x) -> str:
+    """str(x) for an int or Fraction; UnsupportedError past Python's digit limit."""
+    try:
+        return str(x)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise UnsupportedError(f"result too long to print: {exc}") from exc

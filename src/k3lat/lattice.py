@@ -52,7 +52,8 @@ class Lattice:
             raise BadInputError("gram matrix must be square")
         if not linalg.is_symmetric(rows):
             raise BadInputError("gram matrix must be symmetric")
-        if n > 0 and linalg.bareiss_determinant(rows) == 0:
+        determinant = linalg.bareiss_determinant(rows)
+        if determinant == 0:
             raise DegenerateGramError("gram matrix is degenerate")
         if labels is not None:
             try:
@@ -62,6 +63,7 @@ class Lattice:
             if len(labels) != n:
                 raise BadInputError("need one basis label per row")
         self.gram = tuple(tuple(row) for row in rows)
+        self.determinant = determinant
         self.labels = labels
         self.name = name
 
@@ -71,10 +73,6 @@ class Lattice:
 
     def gram_rows(self) -> list[list[int]]:
         return [list(row) for row in self.gram]
-
-    @cached_property
-    def determinant(self) -> int:
-        return linalg.bareiss_determinant(self.gram_rows())
 
     @cached_property
     def signature(self) -> Signature:

@@ -3,9 +3,10 @@
 Covers the dichotomy <2d> + E8(-2) versus its index-2 overlattice (with the
 parity conditions on the glue vector), transcendental-lattice fingerprints of
 stock primitive embeddings, the determinant square-class obstruction, the
-eigenspace dimension tables, invariant-monomial counting, the moduli counts of
-the six worked projective families (all equal to 11), and the rank-17
-Neron-Severi/transcendental pairs <2n> + E8(-1)^2, <-2n> + U^2.
+eigenspace dimensions derived from the fixed-point split, invariant-monomial
+counting, the moduli counts of the six worked projective families (all equal
+to 11), and the rank-17 Neron-Severi/transcendental pairs <2n> + E8(-1)^2,
+<-2n> + U^2 read off their model in U^3 + E8(-1)^2.
 """
 
 from __future__ import annotations
@@ -17,13 +18,8 @@ from fractions import Fraction
 
 from .errors import BadInputError, NotPrimitiveError, require
 from . import linalg
-from .discforms import (
-    Fingerprint,
-    discriminant_form,
-    lattice_fingerprint,
-    opposite_histogram,
-)
-from .gluing import GlueData, Overlattice, glue, is_primitive
+from .discforms import Fingerprint, lattice_fingerprint
+from .gluing import GlueData, Overlattice, glue, is_primitive, nikulin_square_overlattice
 from .involution import k3_lattice
 from .lattice import (
     Lattice,
@@ -31,7 +27,6 @@ from .lattice import (
     e8,
     enumerate_vectors_of_norm,
     hyperbolic_plane,
-    nikulin,
     orthogonal_complement,
     rank_one,
 )
@@ -80,11 +75,10 @@ def _first_e8m2_vector(norm: int) -> tuple[int, ...]:
 
 def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
     """The unique even index-2 overlattice of <2d> + E8(-2) keeping E8(-2) primitive."""
-    _validate_two_d(two_d)
+    base = plain_family(two_d).lattice
     d = two_d // 2
     if d % 2 != 0:
         raise BadInputError("no index-2 overlattice exists unless d is even (L^2 = 0 mod 4)")
-    base = direct_sum([rank_one(two_d), e8(-2)], name=f"<{two_d}> + E8(-2)")
     if v is None:
         v = canonical_glue_vector(d)
     v = tuple(int(c) for c in v)
@@ -130,26 +124,15 @@ def transcendental_fingerprint(ambient: Lattice, ns_basis) -> Fingerprint:
 def k3_model_with_u_plus_n():
     """A unimodular rank-22 model containing U + N primitively.
 
-    Built by gluing two Nikulin blocks of U + N + U^2 + N diagonally along
-    their discriminant groups; returns (ambient, ns_basis) with ns = U + N.
+    U^3 plus the diagonal overlattice of N + N; returns (ambient, ns_basis)
+    with ns = the first U and the first N.
     """
-    base = direct_sum(
-        [hyperbolic_plane(), nikulin(), hyperbolic_plane(), hyperbolic_plane(), nikulin()],
-        name="U + N + U^2 + N",
-    )
-    form = discriminant_form(nikulin())
-    vectors = []
-    for gen in form.generators:
-        v = [Fraction(0)] * 22
-        for j, c in enumerate(gen):
-            v[2 + j] = c
-            v[14 + j] = c
-        vectors.append(v)
-    over = glue(GlueData.of(base, vectors))
-    ambient = Lattice(over.lattice.gram_rows(), name="K3 model")
+    square = nikulin_square_overlattice()
+    ambient = direct_sum([hyperbolic_plane()] * 3 + [square.lattice], name="K3 model")
     got = (ambient.determinant, ambient.signature.as_pair())
     require(got == (-1, (3, 19)), f"K3 model with U + N: (det, signature) = {got}")
-    ns_basis = [list(over.inclusion[i]) for i in range(10)]
+    ns_basis = [[1] + [0] * 21, [0, 1] + [0] * 20]
+    ns_basis += [[0] * 6 + list(square.inclusion[i]) for i in range(8)]
     return ambient, ns_basis
 
 
@@ -215,6 +198,10 @@ def det_square_class_obstruction(rank_t: int) -> SquareClassReport:
 # eigenspace dimensions of the polarization
 
 
+#: fixed-point split (f+, f-) by variant and L^2 mod 4
+_FIXED_POINT_SPLIT = {("plain", 2): (6, 2), ("plain", 0): (4, 4), ("tilde", 0): (8, 0)}
+
+
 @dataclass(frozen=True)
 class EigenspaceReport:
     h_plus: int
@@ -226,29 +213,22 @@ class EigenspaceReport:
 def eigenspace_dimensions(two_d: int, variant: str = "plain") -> EigenspaceReport:
     """Dimensions of the two eigenspaces of sections and the fixed-point split.
 
-    L^2 = 4n+2 plain: (n+2, n+1), fixed points (6, 2);
-    L^2 = 4n   plain: (n+1, n+1), fixed points (4, 4);
-    L^2 = 4n   tilde: (n+2, n),   fixed points (8, 0).
+    Only the split (f+, f-) of the 8 fixed points is tabulated.  The
+    dimensions follow from h+ + h- = d + 2 and, by the holomorphic Lefschetz
+    formula, h+ - h- = (f+ - f-)/4.
     """
     _validate_two_d(two_d)
-    if variant == "plain":
-        if two_d % 4 == 2:
-            n = (two_d - 2) // 4
-            rep = EigenspaceReport(n + 2, n + 1, 6, 2)
-        else:
-            n = two_d // 4
-            rep = EigenspaceReport(n + 1, n + 1, 4, 4)
-    elif variant == "tilde":
-        if two_d % 4 != 0:
-            raise BadInputError("the tilde family needs L^2 divisible by 4")
-        n = two_d // 4
-        rep = EigenspaceReport(n + 2, n, 8, 0)
-    else:
-        raise BadInputError(f"unknown variant {variant!r}")
-    d = two_d // 2
-    require(rep.h_plus + rep.h_minus == d + 2, f"h+ + h- != d + 2 = {d + 2} in {rep}")
-    require(rep.fixed_points_plus + rep.fixed_points_minus == 8, f"not 8 fixed points in {rep}")
-    return rep
+    split = _FIXED_POINT_SPLIT.get((variant, two_d % 4))
+    if split is None:
+        raise BadInputError(
+            f"no {variant!r} family with L^2 = {two_d}; expected plain, or tilde with 4 | L^2"
+        )
+    f_plus, f_minus = split
+    difference, r = divmod(f_plus - f_minus, 4)
+    h_plus, odd = divmod(two_d // 2 + 2 + difference, 2)
+    fits = f_plus + f_minus == 8 and not r and not odd
+    require(fits, f"fixed-point split {split} does not fit 8 fixed points and L^2 = {two_d}")
+    return EigenspaceReport(h_plus, h_plus - difference, f_plus, f_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -346,27 +326,11 @@ class MorrisonNikulinReport:
     transcendental: Lattice
     ns_fingerprint: Fingerprint
     t_fingerprint: Fingerprint
-    checks: dict
 
 
 def morrison_nikulin_lattices(n: int) -> MorrisonNikulinReport:
-    """NS = <2n> + E8(-1)^2 and T = <-2n> + U^2 with opposite discriminant forms."""
-    if n < 1:
-        raise BadInputError("need n >= 1")
-    ns = direct_sum(
-        [rank_one(2 * n), e8(-1), e8(-1)], name=f"<{2 * n}> + E8(-1)^2"
-    )
-    t = direct_sum(
-        [rank_one(-2 * n), hyperbolic_plane(), hyperbolic_plane()],
-        name=f"<{-2 * n}> + U^2",
-    )
-    fp_ns = lattice_fingerprint(ns)
-    fp_t = lattice_fingerprint(t)
-    checks = {
-        "ranks_sum_to_22": ns.rank + t.rank == 22,
-        "ns_signature": fp_ns.signature == (1, 16),
-        "t_signature": fp_t.signature == (2, 3),
-        "same_group": fp_ns.invariant_factors == fp_t.invariant_factors,
-        "opposite_q": fp_t.q_histogram == opposite_histogram(fp_ns.q_histogram),
-    }
-    return MorrisonNikulinReport(ns, t, fp_ns, fp_t, checks)
+    """NS and T = NS^perp of ``k3_model_morrison_nikulin(n)``."""
+    ambient, ns_basis = k3_model_morrison_nikulin(n)
+    ns = Lattice(linalg.pairing_matrix(ns_basis, ambient.gram_rows()))
+    t, _basis = orthogonal_complement(ambient, ns_basis)
+    return MorrisonNikulinReport(ns, t, lattice_fingerprint(ns), lattice_fingerprint(t))

@@ -19,6 +19,7 @@ from . import linalg
 from .discforms import (
     discriminant_form,
     lattice_fingerprint,
+    opposite_histogram,
     orbits_under_generators,
 )
 from .elliptic import (
@@ -56,6 +57,7 @@ from .lattice import (
     root_span_index,
 )
 from .nsfamilies import (
+    _MODULI_EXAMPLES,
     classify_ns,
     count_invariant_monomials,
     det_square_class_obstruction,
@@ -218,7 +220,7 @@ def check_eigenspaces_and_moduli() -> dict:
         got = count_invariant_monomials(*args)
         require(got == count, f"count_invariant_monomials{args} = {got} != {count}")
     dims = {}
-    for example in ("M2", "M6", "M4", "M4tilde", "M8", "M8tilde"):
+    for example in _MODULI_EXAMPLES:
         dims[example] = moduli_dimension(example)
         require(dims[example] == 11, f"{example} moduli {dims[example]} != 11")
     return {"moduli": dims}
@@ -236,14 +238,14 @@ def _random_weierstrass(rng: random.Random) -> WeierstrassFibration:
             continue
         a = RatPoly([rng.randint(-5, 5) for _ in range(4)] + [lead_a])
         b = RatPoly([rng.randint(-5, 5) for _ in range(8)] + [lead_b])
-        other = a * a - 4 * b
+        fib = WeierstrassFibration(a, b)
         if b.gcd(b.derivative()).degree > 0:
             continue
-        if other.gcd(other.derivative()).degree > 0:
+        if fib.c.gcd(fib.c.derivative()).degree > 0:
             continue
-        if b.gcd(other).degree > 0:
+        if b.gcd(fib.c).degree > 0:
             continue
-        return WeierstrassFibration(a, b)
+        return fib
 
 
 def check_generic_family(seed: int = DEFAULT_SEED) -> dict:
@@ -263,7 +265,7 @@ def check_generic_family(seed: int = DEFAULT_SEED) -> dict:
         weights = (qrep.weight("I2"), qrep.weight("I1"))
         require(weights == (8, 8), f"draw {draw}: quotient I_2, I_1 weights {weights}")
         i2 = [p for p in qrep.places if p.kodaira == "I2"]
-        off = [p.location for p in i2 if not p.factor.divides(quot.b)]
+        off = [p.location for p in i2 if not p.factor.divides(fib.c)]
         require(not off, f"draw {draw}: quotient I_2 at {off}, off the (a^2-4b)-locus")
         tau = (tors.tau_norm, tors.tau_dot_sigma, tors.tau_dot_fiber, set(tors.tau_dot_nodes))
         require(tau == (-2, 0, 1, {1}), f"draw {draw}: tau.(tau, sigma, F, nodes) = {tau}")
@@ -292,10 +294,9 @@ def check_sixteen_gon_family(seed: int = DEFAULT_SEED) -> dict:
     for draw in range(5):
         while True:
             a = RatPoly([rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5), 0, 1])
-            delta = a * a - 4
-            if delta.gcd(delta.derivative()).degree == 0:  # general member: 8 simple zeroes
+            fib = WeierstrassFibration(a, RatPoly([1]))
+            if fib.c.gcd(fib.c.derivative()).degree == 0:  # general member: 8 simple zeroes
                 break
-        fib = WeierstrassFibration(a, RatPoly([1]))
         rep = fiber_configuration(fib)
         require(rep.weight("I1") == 8, f"draw {draw}: I1 weight {rep.weight('I1')}")
         inf = [p.kodaira for p in rep.places if p.location == "infinity"]
@@ -314,11 +315,14 @@ def check_sixteen_gon_family(seed: int = DEFAULT_SEED) -> dict:
     rank, disc = shioda_tate([(16, 1), (1, 8)], torsion_order=2)
     require((rank, disc) == (17, Fraction(4)), f"shioda-tate {(rank, disc)}")
     mn = morrison_nikulin_lattices(2)
-    require(all(mn.checks.values()), f"rank-17 pair checks: {mn.checks}")
+    fp_ns, fp_t = mn.ns_fingerprint, mn.t_fingerprint
+    same_group = fp_ns.invariant_factors == fp_t.invariant_factors
+    opposite = fp_t.q_histogram == opposite_histogram(fp_ns.q_histogram)
+    require(same_group and opposite, f"rank-17 pair: q_T != -q_NS for {fp_ns} and {fp_t}")
     expect_ns = lattice_fingerprint(direct_sum([rank_one(4), e8(-1), e8(-1)]))
-    require(mn.ns_fingerprint == expect_ns, "rank-17 NS fingerprint is not that of <4> + E8(-1)^2")
+    require(fp_ns == expect_ns, "rank-17 NS fingerprint is not that of <4> + E8(-1)^2")
     expect_t = lattice_fingerprint(direct_sum([rank_one(-4)] + [hyperbolic_plane()] * 2))
-    require(mn.t_fingerprint == expect_t, "rank-17 T fingerprint is not that of <-4> + U^2")
+    require(fp_t == expect_t, "rank-17 T fingerprint is not that of <-4> + U^2")
     gon = i16_component_permutation()
     require(gon.is_involution and gon.windows_swapped, f"I_16 shift is no window swap: {gon}")
     require(gon.chains_are_a7 and gon.e8_fingerprints_ok, f"I_16 windows are not A_7/E8: {gon}")

@@ -82,12 +82,17 @@ def test_domain_error_fails_only_its_criteria(
     assert all(r.detail.startswith(f"{code}: ") for r in results if not r.passed)
 
 
-def _run_optimized(*args):
-    """Run ``python -O`` with this package importable, as a user would."""
+def _run_optimized(pycache, *args):
+    """Run ``python -O`` with this package importable, as a user would.
+
+    Both runs share one bytecode cache, so only the first compiles sympy.
+    """
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     return subprocess.run(
         [sys.executable, "-O", *args],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         capture_output=True,
         text=True,
         timeout=600,
@@ -105,15 +110,15 @@ print(json.dumps({"optimize": sys.flags.optimize,
 """
 
 
-def test_checks_still_fail_under_python_O():
-    proc = _run_optimized("-c", _BROKEN_TABLE)
+def test_checks_still_fail_under_python_O(tmp_path):
+    proc = _run_optimized(tmp_path, "-c", _BROKEN_TABLE)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1
     assert out["failed"] == {
         "8": "check_failed: eigenspaces(6,plain) = (0, 0, 0, 0) != (3, 2, 6, 2)"
     }
-    proc = _run_optimized("-m", "k3lat.cli", "--json", "verify-paper")
+    proc = _run_optimized(tmp_path, "-m", "k3lat.cli", "--json", "verify-paper")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["payload"]["all_passed"] is True
 

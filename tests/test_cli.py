@@ -298,6 +298,8 @@ _LONG_ENTRY = '{"gram": [[' + "2" * 4401 + "]]}"
 _DIAGONAL_1001_DIGITS = json.dumps(
     {"gram": [[10 ** 1000 if i == j else 0 for j in range(5)] for i in range(5)]}
 )
+# a^2 - 4b then has a 5000-digit coefficient: the quotient's b and a fiber place
+_A_2500_DIGITS = "1" + "3" * 2499 + ",1"
 
 
 @pytest.mark.parametrize(
@@ -306,8 +308,11 @@ _DIAGONAL_1001_DIGITS = json.dumps(
         (["lattice", "info", "--file", "FILE"], _LONG_ENTRY, 3, "malformed_json"),
         (["lattice", "info", "--file", "FILE"], _DIAGONAL_1001_DIGITS, 1, "unsupported"),
         (["ell", "shioda-tate", "--fibers", "I3:10000", "--torsion", "1"], None, 1, "unsupported"),
+        (["ell", "quotient", "--a", _A_2500_DIGITS, "--b", "1"], None, 1, "unsupported"),
+        (["ell", "fibers", "--a", _A_2500_DIGITS, "--b", "1,0,1"], None, 1, "unsupported"),
     ],
-    ids=["input-4401-digits", "det-5000-digits", "disc-4772-digits"],
+    ids=["input-4401-digits", "det-5000-digits", "disc-4772-digits", "quotient-b-5000-digits",
+         "fiber-place-5000-digits"],
 )
 def test_numbers_beyond_the_digit_limit_end_in_an_envelope(
     argv, file_text, exit_code, code, tmp_path, capsys

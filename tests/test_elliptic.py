@@ -200,6 +200,13 @@ def fibrations(draw):
     return WeierstrassFibration(a, b)
 
 
+@settings(max_examples=30, deadline=None)
+@given(fibrations())
+def test_stored_c_is_the_quotient_b(fib):
+    assert fib.c == fib.a * fib.a - 4 * fib.b
+    assert two_isogeny_quotient(fib).b == fib.c
+
+
 @settings(max_examples=60, deadline=None)
 @given(fibrations())
 def test_fiber_configuration_matches_factored_discriminant(fib):

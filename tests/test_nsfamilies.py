@@ -19,6 +19,7 @@ from k3lat import (
     rank_one,
     transcendental_fingerprint,
 )
+from k3lat.discforms import opposite_histogram
 from k3lat.nsfamilies import (
     canonical_glue_vector,
     k3_model_full,
@@ -179,6 +180,15 @@ def test_eigenspace_sum_rule():
         assert rep.h_plus + rep.h_minus == two_d // 2 + 2
 
 
+@pytest.mark.parametrize("two_d", range(2, 42, 2))
+def test_eigenspaces_follow_from_the_fixed_point_split(two_d):
+    variants = ["plain", "tilde"] if two_d % 4 == 0 else ["plain"]
+    for variant in variants:
+        rep = eigenspace_dimensions(two_d, variant)
+        assert rep.h_plus + rep.h_minus == two_d // 2 + 2
+        assert 4 * (rep.h_plus - rep.h_minus) == rep.fixed_points_plus - rep.fixed_points_minus
+
+
 def test_eigenspace_rejects_inconsistent_variant():
     with pytest.raises(BadInputError):
         eigenspace_dimensions(6, "tilde")
@@ -234,7 +244,6 @@ def test_moduli_rejects_unsupported():
 
 def test_morrison_nikulin_n2():
     rep = morrison_nikulin_lattices(2)
-    assert all(rep.checks.values())
     assert abs(rep.ns.determinant) == 4
     assert abs(rep.transcendental.determinant) == 4
     assert rep.ns_fingerprint.signature == (1, 16)
@@ -252,5 +261,8 @@ def test_morrison_nikulin_n1():
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_morrison_nikulin_rank_sum(n):
     rep = morrison_nikulin_lattices(n)
-    assert rep.ns.rank + rep.transcendental.rank == 22
-    assert all(rep.checks.values())
+    fp_ns, fp_t = rep.ns_fingerprint, rep.t_fingerprint
+    assert (rep.ns.rank, rep.transcendental.rank) == (17, 5)
+    assert (fp_ns.signature, fp_t.signature) == ((1, 16), (2, 3))
+    assert fp_ns.invariant_factors == fp_t.invariant_factors == (2 * n,)
+    assert fp_t.q_histogram == opposite_histogram(fp_ns.q_histogram)
