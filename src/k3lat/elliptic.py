@@ -18,12 +18,17 @@ toolkit asserts the matching value 20 - picard_rank elsewhere.
 Only multiplicative fibers are classified.  Additive places (where the
 irreducible factor divides both a and b, equivalently both b and a^2 - 4b)
 are detected and flagged "additive/unsupported", never typed.
+
+The 2-torsion section classes in U + N and the I_16 window swap are claims:
+the functions that compute them raise CheckFailed when one fails and return
+only data.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,7 +36,7 @@ import sympy
 
 from .errors import BadInputError, UnsupportedError, decimal, require
 from .discforms import lattice_fingerprint
-from .lattice import Lattice, a_n, direct_sum, hyperbolic_plane, nikulin, nikulin_node_coords
+from .lattice import Lattice, a_n, direct_sum, e8, hyperbolic_plane, nikulin, nikulin_node_coords
 
 
 class RatPoly:
@@ -295,7 +300,7 @@ class FiberPlace:
         return self.kodaira != ADDITIVE
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberReport:
     places: list[FiberPlace] = field(default_factory=list)
 
@@ -385,7 +390,9 @@ def shioda_tate(fibers, torsion_order: int, mw_rank: int = 0) -> tuple[int, Frac
     """Picard rank and |NS discriminant| from multiplicative fiber data.
 
     fibers is a list of (n, count) pairs for I_n fibers.  Only Mordell-Weil
-    rank 0 is supported; then |disc NS| = (prod n_v) / torsion^2.
+    rank 0 is supported; then |disc NS| = (prod n_v) / torsion^2.  A
+    discriminant with more digits than Python prints raises UnsupportedError
+    before the product is formed.
     """
     if mw_rank != 0:
         raise UnsupportedError("nonzero Mordell-Weil rank is out of scope")
@@ -393,11 +400,18 @@ def shioda_tate(fibers, torsion_order: int, mw_rank: int = 0) -> tuple[int, Frac
         raise BadInputError("torsion order must be at least 1")
     rank = 2
     prod = 1
+    # prod / torsion^2 > 2^bits; refuse before the power once that cannot print,
+    # i.e. once 2^bits > 10^limit, which holds when bits * 0.3010 > limit
+    bits = -2 * torsion_order.bit_length()
+    limit = sys.get_int_max_str_digits()
     for n, count in fibers:
         n, count = int(n), int(count)
         if n < 1 or count < 1:
             raise BadInputError("fiber entries must be positive I_n with positive count")
         rank += count * (n - 1)
+        bits += count * (n.bit_length() - 1)
+        if limit and bits * 3010 > limit * 10000:
+            raise UnsupportedError(f"the NS discriminant has more than {limit} digits to print")
         prod *= n ** count
     return rank, Fraction(prod, torsion_order ** 2)
 
@@ -406,17 +420,11 @@ def shioda_tate(fibers, torsion_order: int, mw_rank: int = 0) -> tuple[int, Frac
 # 2-torsion section bookkeeping in U + N
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorsionSectionReport:
     fibers: FiberReport
     ns_lattice: Lattice
     tau: tuple[int, ...]
-    tau_norm: int
-    tau_dot_sigma: int
-    tau_dot_fiber: int
-    tau_dot_nodes: tuple[int, ...]
-    ns_determinant: int
-    matches_u_plus_n: bool
 
 
 def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionReport:
@@ -442,7 +450,12 @@ def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionR
 
 @functools.cache
 def _u_plus_n_section_data() -> dict:
-    """The TorsionSectionReport fields that do not depend on the fibration."""
+    """The TorsionSectionReport fields that do not depend on the fibration.
+
+    Raises CheckFailed, naming the pairing, unless tau^2 = -2, tau.sigma = 0,
+    tau.f = 1 and tau.N_i = 1 for all eight nodes, and unless the section
+    basis spans a lattice with the fingerprint of U + N.
+    """
     n_lat = nikulin()
     gram = [[0] * 10 for _ in range(10)]
     gram[0][0] = -2  # sigma^2
@@ -457,39 +470,18 @@ def _u_plus_n_section_data() -> dict:
     )
     tau = (1, 2, 0, 0, 0, 0, 0, 0, 0, -1)  # sigma + 2f - Nhat
     tau_list = list(tau)
-    sigma = [1] + [0] * 9
-    fiber = [0, 1] + [0] * 8
-    node_pairings = []
-    for i in range(1, 9):
-        node = [0, 0] + nikulin_node_coords(i)
-        node_pairings.append(int(ns.inner(tau_list, node)))
-    fp_ns = lattice_fingerprint(ns)
+    pairings = [("tau", tau_list, -2), ("sigma", [1] + [0] * 9, 0), ("f", [0, 1] + [0] * 8, 1)]
+    pairings += [(f"N_{i}", [0, 0] + nikulin_node_coords(i), 1) for i in range(1, 9)]
+    for name, v, want in pairings:
+        got = ns.inner(tau_list, v)
+        require(got == want, f"2-torsion section: tau.{name} = {got}, not {want}")
     fp_un = lattice_fingerprint(direct_sum([hyperbolic_plane(), nikulin()]))
-    return dict(
-        ns_lattice=ns,
-        tau=tau,
-        tau_norm=int(ns.norm(tau_list)),
-        tau_dot_sigma=int(ns.inner(tau_list, sigma)),
-        tau_dot_fiber=int(ns.inner(tau_list, fiber)),
-        tau_dot_nodes=tuple(node_pairings),
-        ns_determinant=ns.determinant,
-        matches_u_plus_n=fp_ns == fp_un,
-    )
+    require(lattice_fingerprint(ns) == fp_un, "2-torsion section: NS in the section basis is not U + N")
+    return dict(ns_lattice=ns, tau=tau)
 
 
 # ---------------------------------------------------------------------------
 # the 16-gon fiber
-
-
-@dataclass
-class SixteenGonReport:
-    permutation: tuple[int, ...]
-    is_involution: bool
-    window_a: tuple[int, ...]
-    window_b: tuple[int, ...]
-    windows_swapped: bool
-    chains_are_a7: bool
-    e8_fingerprints_ok: bool
 
 
 def _cycle_gram(n: int) -> list[list[int]]:
@@ -500,55 +492,33 @@ def _cycle_gram(n: int) -> list[list[int]]:
     return g
 
 
-def i16_component_permutation() -> SixteenGonReport:
+def i16_component_permutation() -> tuple[int, ...]:
     """Translation action on the 16 components of the I_16 fiber.
 
     Components C_0..C_15 form a cycle of (-2)-curves; translation by the
     2-torsion section sends C_n to C_{n+8}.  The windows {-2..4} and {6..12}
     are A_7(-1) chains which, completed by the respective section (meeting C_0
     and C_8), carry the two orthogonal E8(-1) blocks; the permutation swaps
-    the windows.
+    the windows.  Raises CheckFailed, naming the component or the window,
+    unless all of this holds; returns the permutation.
     """
     perm = tuple((i + 8) % 16 for i in range(16))
-    is_involution = all(perm[perm[i]] == i for i in range(16))
+    unpaired = [i for i in range(16) if perm[perm[i]] != i]
+    require(not unpaired, f"the I_16 shift is not an involution on components {unpaired}")
     window_a = tuple(i % 16 for i in range(-2, 5))
     window_b = tuple(range(6, 13))
-    windows_swapped = set(perm[i] for i in window_a) == set(window_b)
+    image = tuple(perm[i] for i in window_a)
+    require(set(image) == set(window_b), f"the I_16 shift sends window {window_a} to {image}")
 
     cycle = _cycle_gram(16)
     a7 = a_n(7, -1).gram_rows()
-
-    def chain_gram(indices):
-        return [[cycle[i][j] for j in indices] for i in indices]
-
-    chains_ok = chain_gram(window_a) == a7 and chain_gram(window_b) == a7
-
-    def e8_block(indices, meets):
-        size = len(indices) + 1
-        g = [[0] * size for _ in range(size)]
-        for r, i in enumerate(indices):
-            for c, j in enumerate(indices):
-                g[r][c] = cycle[i][j]
-        g[size - 1][size - 1] = -2  # the section is a (-2)-curve
-        k = indices.index(meets)
-        g[size - 1][k] = g[k][size - 1] = 1
-        return Lattice(g)
-
-    fp_e8 = []
-    for indices, meets in ((window_a, 0), (window_b, 8)):
-        lat = e8_block(list(indices), meets)
-        fp_e8.append(
-            lat.rank == 8
-            and lat.is_even
-            and lat.determinant == 1
-            and lat.signature.as_pair() == (0, 8)
-        )
-    return SixteenGonReport(
-        permutation=perm,
-        is_involution=is_involution,
-        window_a=window_a,
-        window_b=window_b,
-        windows_swapped=windows_swapped,
-        chains_are_a7=chains_ok,
-        e8_fingerprints_ok=all(fp_e8),
-    )
+    fp_e8 = lattice_fingerprint(e8(-1))
+    for window, meets in ((window_a, 0), (window_b, 8)):
+        chain = [[cycle[i][j] for j in window] for i in window]
+        require(chain == a7, f"I_16 window {window} is not an A_7(-1) chain")
+        k = window.index(meets)
+        g = [row + [int(r == k)] for r, row in enumerate(chain)]
+        g.append([int(c == k) for c in range(7)] + [-2])  # the section is a (-2)-curve
+        fp = lattice_fingerprint(Lattice(g))
+        require(fp == fp_e8, f"I_16 window {window} with the section at C_{meets} is not E8(-1)")
+    return perm

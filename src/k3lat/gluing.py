@@ -6,7 +6,9 @@ Hermite-normal-form integral basis so outputs are diff-able.  The two stock
 gluings construct the even unimodular overlattice of U(2)^3 + N and the
 diagonal overlattice of N + N (a copy of Gamma16(-1) not generated by its
 roots), together with the explicit half-integer embedding of N + N into the
-coordinate model of Gamma16(-1).
+coordinate model of Gamma16(-1).  A claim fails where it is computed: ``glue``
+and the embedding raise CheckFailed (``errors.require``) when one does not
+hold, and return only data.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .lattice import (
     hyperbolic_plane,
     nikulin,
     nikulin_node_coords,
+    sublattice_index,
 )
 
 
@@ -66,7 +69,8 @@ def glue(data: GlueData) -> Overlattice:
     Validates that the glue classes are dual vectors and that the subgroup
     they generate is isotropic for q (reporting the first violating element
     in lexicographic order), then returns the overlattice in a Hermite normal
-    form basis together with the inclusion of the base.
+    form basis together with the inclusion of the base.  Requires (CheckFailed)
+    that the inclusion restricts the glued form to the base form.
     """
     base = data.base
     n = base.rank
@@ -123,6 +127,9 @@ def glue(data: GlueData) -> Overlattice:
                 inexact.append((i, j))
         inclusion.append(tuple(row))
     require(not inexact, f"base vectors are not integral in the overlattice basis at {inexact[:3]}")
+    back = linalg.pairing_matrix(inclusion, new_gram)
+    bad = next(((i, j) for i in range(n) for j in range(n) if back[i][j] != gram[i][j]), None)
+    require(bad is None, f"the glued form does not restrict to the base form at entry {bad}")
     basis = tuple(tuple(Fraction(x, denom) for x in row) for row in hnf)
     return Overlattice(over, basis, tuple(inclusion), base, order)
 
@@ -212,59 +219,34 @@ def _ambient_pair(x, y) -> Fraction:
     return -sum(a * b for a, b in zip(x, y))
 
 
-def nikulin_square_in_gamma16() -> dict:
-    """Check the explicit embedding of N + N into Gamma16(-1).
+def nikulin_square_in_gamma16() -> int:
+    """The explicit embedding of N + N into Gamma16(-1) and its index 2^6.
 
     (N_i, 0) -> e_i + e_{i+8} and (0, N_i) -> e_i - e_{i+8}; the half-sum
-    classes map to half-integer vectors.  Verifies it is an isometric
-    embedding with both factors primitive and image of index 2^6.
+    classes map to half-integer vectors.  Raises CheckFailed, naming the pair,
+    the image or the cokernel, unless it is an isometric embedding into
+    Gamma16 with both factors primitive; returns the index of the image.
     """
-    base = nikulin_square_base()
-    first_images = []
-    for i in range(1, 8):
-        v = [Fraction(0)] * 16
-        v[i - 1] = Fraction(1)
-        v[i - 1 + 8] = Fraction(1)
-        first_images.append(v)
-    first_images.append([Fraction(1, 2)] * 16)  # (Nhat, 0)
-    second_images = []
-    for i in range(1, 8):
-        v = [Fraction(0)] * 16
-        v[i - 1] = Fraction(1)
-        v[i - 1 + 8] = Fraction(-1)
-        second_images.append(v)
-    second_images.append([Fraction(1, 2)] * 8 + [Fraction(-1, 2)] * 8)  # (0, Nhat)
-
-    images = first_images + second_images
-    gram = base.gram_rows()
-    isometric = all(
-        _ambient_pair(images[i], images[j]) == gram[i][j]
-        for i in range(16)
-        for j in range(16)
-    )
-    membership = all(gamma16_contains(v) for v in images)
+    images = []
+    for sign in (1, -1):  # the first factor, then the second
+        for i in range(7):
+            v = [Fraction(0)] * 16
+            v[i], v[i + 8] = Fraction(1), Fraction(sign)
+            images.append(v)
+        images.append([Fraction(1, 2)] * 8 + [Fraction(sign, 2)] * 8)  # (Nhat, 0), (0, Nhat)
+    gram = nikulin_square_base().gram_rows()
+    bad = next(((i, j) for i in range(16) for j in range(16)
+                if _ambient_pair(images[i], images[j]) != gram[i][j]), None)
+    require(bad is None, f"N + N -> Gamma16(-1): the images of basis pair {bad} pair wrongly")
+    outside = next((k for k, v in enumerate(images) if not gamma16_contains(v)), None)
+    require(outside is None, f"N + N -> Gamma16(-1): image {outside} is not in Gamma16")
     coords = [gamma16_coordinates(v) for v in images]
 
     ambient = gamma16(-1)
-    prim_first, tors_first = is_primitive(ambient, coords[:8])
-    prim_second, tors_second = is_primitive(ambient, coords[8:])
-    index = abs(linalg.bareiss_determinant(coords))
-
-    return {
-        "isometric_embedding": isometric,
-        "in_gamma16": membership,
-        "first_factor_primitive": prim_first,
-        "second_factor_primitive": prim_second,
-        "cokernel_factors": [tors_first, tors_second],
-        "index": index,
-    }
-
-
-def restriction_recovers_base(over: Overlattice) -> bool:
-    """The base Gram is recovered by restricting the overlattice form."""
-    inc = [list(row) for row in over.inclusion]
-    back = linalg.pairing_matrix(inc, over.lattice.gram_rows())
-    return linalg.mat_eq(back, over.base.gram_rows())
+    for which, rows in (("first", coords[:8]), ("second", coords[8:])):
+        primitive, torsion = is_primitive(ambient, rows)
+        require(primitive, f"N + N -> Gamma16(-1): the {which} N has cokernel torsion {torsion}")
+    return sublattice_index(ambient, coords)
 
 
 def verification_block(over: Overlattice) -> dict:

@@ -85,7 +85,7 @@ def str_invariants(module: InvolutionModule) -> STRInvariants:
     return STRInvariants(s, t, r)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FixedSublattices:
     invariant: Lattice
     invariant_basis: list[list[int]]

@@ -32,7 +32,7 @@ from .lattice import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NSFamilyDescriptor:
     two_d: int
     variant: str  # "plain" | "tilde"
@@ -150,12 +150,6 @@ def k3_model_morrison_nikulin(n: int):
         v[6 + j] = 1
         ns_basis.append(v)
     return ambient, ns_basis
-
-
-def k3_model_full():
-    """(ambient, ns_basis) with ns the whole lattice (rank-0 complement)."""
-    ambient = k3_lattice()
-    return ambient, [list(row) for row in linalg.identity_matrix(22)]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,7 @@ def moduli_dimension(example: str) -> int:
 # rank-17 pairs
 
 
-@dataclass
+@dataclass(frozen=True)
 class MorrisonNikulinReport:
     ns: Lattice
     transcendental: Lattice

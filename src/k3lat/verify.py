@@ -2,11 +2,12 @@
 
 Each criterion is a function that raises CheckFailed (``errors.require``, kept
 under ``python -O``, with a message naming what broke) or a domain error on
-failure and returns a small detail dict on success.  The test
-suite runs the same functions one by one; the CLI runs them all and prints a
-pass/fail line per criterion.  Everything is exact integer/rational
-arithmetic; the only randomness is the seeded draw of Weierstrass
-coefficients, reproducible via the seed argument.
+failure and returns a small detail dict on success.  A library function that
+computes a claim enforces it the same way and returns only data, so a
+criterion never unpacks flags.  The test suite runs the same functions one by
+one; the CLI runs them all and prints a pass/fail line per criterion.
+Everything is exact integer/rational arithmetic; the only randomness is the
+seeded draw of Weierstrass coefficients, reproducible via the seed argument.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .gluing import (
     nikulin_square_in_gamma16,
     nikulin_square_overlattice,
     u2cubed_nikulin_overlattice,
-    restriction_recovers_base,
 )
 from .involution import (
     QuotientCohomology,
@@ -80,7 +80,6 @@ def check_unimodular_glue() -> dict:
     require(lat.determinant == -1, f"U(2)^3 + N glue: det {lat.determinant} != -1")
     require(lat.signature.as_pair() == (3, 11), f"U(2)^3 + N glue: signature {lat.signature}")
     require(over.glue_order == 64, f"U(2)^3 + N glue: index {over.glue_order} != 2^6")
-    require(restriction_recovers_base(over), "U(2)^3 + N glue: restriction is not the base form")
     return {"det": lat.determinant, "signature": [3, 11], "index": over.glue_order}
 
 
@@ -98,12 +97,9 @@ def check_gamma16_glue() -> dict:
     require(idx == 2, f"N + N glue: root span index {idx} != 2 (it would be root-generated)")
     gamma = lattice_fingerprint(gamma16(-1))
     require(lattice_fingerprint(lat) == gamma, "N + N glue: the fingerprint is not Gamma16(-1)'s")
-    embed = nikulin_square_in_gamma16()
-    failed = [claim for claim in ("isometric_embedding", "in_gamma16", "first_factor_primitive",
-                                  "second_factor_primitive") if not embed[claim]]
-    require(not failed, f"N + N in Gamma16: {failed} fail, cokernels {embed['cokernel_factors']}")
-    require(embed["index"] == 64, f"N + N -> Gamma16(-1): index {embed['index']} != 2^6")
-    return {"roots": len(roots), "root_span_index": idx, "embedding_index": embed["index"]}
+    index = nikulin_square_in_gamma16()
+    require(index == 64, f"N + N -> Gamma16(-1): index {index} != 2^6")
+    return {"roots": len(roots), "root_span_index": idx, "embedding_index": index}
 
 
 def check_root_counts() -> dict:
@@ -267,10 +263,6 @@ def check_generic_family(seed: int = DEFAULT_SEED) -> dict:
         i2 = [p for p in qrep.places if p.kodaira == "I2"]
         off = [p.location for p in i2 if not p.factor.divides(fib.c)]
         require(not off, f"draw {draw}: quotient I_2 at {off}, off the (a^2-4b)-locus")
-        tau = (tors.tau_norm, tors.tau_dot_sigma, tors.tau_dot_fiber, set(tors.tau_dot_nodes))
-        require(tau == (-2, 0, 1, {1}), f"draw {draw}: tau.(tau, sigma, F, nodes) = {tau}")
-        require(tors.ns_determinant == -64, f"draw {draw}: NS det {tors.ns_determinant}")
-        require(tors.matches_u_plus_n, f"draw {draw}: NS is not U + N")
     rank, disc = shioda_tate([(2, 8), (1, 8)], torsion_order=2)
     require((rank, disc) == (10, Fraction(64)), f"shioda-tate {(rank, disc)}")
     require(20 - rank == 10, f"moduli of the family 20 - {rank} != 10")
@@ -323,10 +315,8 @@ def check_sixteen_gon_family(seed: int = DEFAULT_SEED) -> dict:
     require(fp_ns == expect_ns, "rank-17 NS fingerprint is not that of <4> + E8(-1)^2")
     expect_t = lattice_fingerprint(direct_sum([rank_one(-4)] + [hyperbolic_plane()] * 2))
     require(fp_t == expect_t, "rank-17 T fingerprint is not that of <-4> + U^2")
-    gon = i16_component_permutation()
-    require(gon.is_involution and gon.windows_swapped, f"I_16 shift is no window swap: {gon}")
-    require(gon.chains_are_a7 and gon.e8_fingerprints_ok, f"I_16 windows are not A_7/E8: {gon}")
-    return {"shioda_tate": [rank, str(disc)], "component_shift": list(gon.permutation)}
+    shift = i16_component_permutation()  # raises unless it swaps the two E8(-1) windows
+    return {"shioda_tate": [rank, str(disc)], "component_shift": list(shift)}
 
 
 def check_property_suites() -> dict:
@@ -374,11 +364,10 @@ def check_property_suites() -> dict:
     for over in glue_cases:
         law = over.lattice.determinant * over.glue_order ** 2 == over.base.determinant
         require(law, f"determinant law det/|H|^2 fails for the glue of {over.base}")
-        require(restriction_recovers_base(over), f"the glue of {over.base} does not restrict to it")
     return {"polarization_pairs": pairs_checked, "glue_cases": len(glue_cases)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     number: int
     title: str

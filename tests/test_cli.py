@@ -310,9 +310,12 @@ _A_2500_DIGITS = "1" + "3" * 2499 + ",1"
         (["ell", "shioda-tate", "--fibers", "I3:10000", "--torsion", "1"], None, 1, "unsupported"),
         (["ell", "quotient", "--a", _A_2500_DIGITS, "--b", "1"], None, 1, "unsupported"),
         (["ell", "fibers", "--a", _A_2500_DIGITS, "--b", "1,0,1"], None, 1, "unsupported"),
+        # refused before 2^(10^23) is formed, which would never return
+        (["ell", "shioda-tate", "--fibers", "I2:" + "9" * 23, "--torsion", "1"], None, 1,
+         "unsupported"),
     ],
     ids=["input-4401-digits", "det-5000-digits", "disc-4772-digits", "quotient-b-5000-digits",
-         "fiber-place-5000-digits"],
+         "fiber-place-5000-digits", "disc-count-23-digits"],
 )
 def test_numbers_beyond_the_digit_limit_end_in_an_envelope(
     argv, file_text, exit_code, code, tmp_path, capsys

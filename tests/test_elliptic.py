@@ -1,5 +1,6 @@
 """Weierstrass models, fiber configurations, the 2-isogeny quotient."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,29 @@ from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
+    CheckFailed,
     RatPoly,
     UnsupportedError,
     WeierstrassFibration,
+    direct_sum,
     fiber_configuration,
+    hyperbolic_plane,
     i16_component_permutation,
+    lattice_fingerprint,
+    nikulin,
+    nikulin_node_coords,
     shioda_tate,
     torsion_section_translation_data,
     two_isogeny_quotient,
 )
-from k3lat.elliptic import ADDITIVE, irreducible_factors, parse_fiber_list, squarefree_part
+from k3lat import elliptic
+from k3lat.elliptic import (
+    ADDITIVE,
+    _cycle_gram,
+    irreducible_factors,
+    parse_fiber_list,
+    squarefree_part,
+)
 
 F = Fraction
 
@@ -256,19 +270,28 @@ def test_parse_fiber_list():
 # -- 2-torsion section bookkeeping ---------------------------------------------------
 
 
-def test_torsion_section_report():
+def test_torsion_section_report(monkeypatch):
     fib = WeierstrassFibration(
         RatPoly([3, 1, 0, 2, 1]), RatPoly([1, 4, 2, 0, 3, 1, 2, 1, 1])
     )
     rep = torsion_section_translation_data(fib)
     assert rep.fibers.to_json() == fiber_configuration(fib).to_json()
     assert rep.tau == (1, 2, 0, 0, 0, 0, 0, 0, 0, -1)
-    assert rep.tau_norm == -2
-    assert rep.tau_dot_sigma == 0
-    assert rep.tau_dot_fiber == 1
-    assert rep.tau_dot_nodes == (1,) * 8
-    assert rep.ns_determinant == -(2 ** 6)
-    assert rep.matches_u_plus_n
+    ns, tau = rep.ns_lattice, list(rep.tau)
+    assert ns.norm(tau) == -2
+    assert ns.inner(tau, [1] + [0] * 9) == 0  # sigma
+    assert ns.inner(tau, [0, 1] + [0] * 8) == 1  # the fiber
+    assert [ns.inner(tau, [0, 0] + nikulin_node_coords(i)) for i in range(1, 9)] == [1] * 8
+    assert ns.determinant == -(2 ** 6)
+    assert lattice_fingerprint(ns) == lattice_fingerprint(direct_sum([hyperbolic_plane(), nikulin()]))
+    # the cached section data checks itself: wrong node classes fail naming the pairing
+    elliptic._u_plus_n_section_data.cache_clear()
+    monkeypatch.setattr(elliptic, "nikulin_node_coords", lambda i: [0] * 8)
+    try:
+        with pytest.raises(CheckFailed, match=r"tau\.N_1 = 0, not 1"):
+            torsion_section_translation_data(fib)
+    finally:
+        elliptic._u_plus_n_section_data.cache_clear()
 
 
 def test_torsion_section_rejects_wrong_shape():
@@ -286,12 +309,19 @@ def test_torsion_section_rejects_wrong_shape():
 # -- 16-gon combinatorics --------------------------------------------------------------
 
 
-def test_i16_permutation_report():
-    rep = i16_component_permutation()
-    assert rep.permutation[0] == 8
-    assert rep.is_involution
-    assert set(rep.window_a) == {14, 15, 0, 1, 2, 3, 4}
-    assert set(rep.window_b) == {6, 7, 8, 9, 10, 11, 12}
-    assert rep.windows_swapped
-    assert rep.chains_are_a7
-    assert rep.e8_fingerprints_ok
+def _cycle_without_edge(k):
+    def broken(n):
+        g = _cycle_gram(n)
+        g[k][k + 1] = g[k + 1][k] = 0
+        return g
+
+    return broken
+
+
+def test_i16_permutation_report(monkeypatch):
+    assert i16_component_permutation() == tuple((i + 8) % 16 for i in range(16))
+    # a cycle missing the edge C_k C_{k+1} breaks the A_7(-1) chain of its window
+    for edge, window in ((0, (14, 15, 0, 1, 2, 3, 4)), (9, (6, 7, 8, 9, 10, 11, 12))):
+        monkeypatch.setattr(elliptic, "_cycle_gram", _cycle_without_edge(edge))
+        with pytest.raises(CheckFailed, match=re.escape(f"window {window} is not an A_7(-1) chain")):
+            i16_component_permutation()

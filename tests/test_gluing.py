@@ -7,6 +7,7 @@ import pytest
 
 from k3lat import (
     BadInputError,
+    CheckFailed,
     GlueData,
     NonIsotropicGlueError,
     NotDualVectorError,
@@ -24,8 +25,8 @@ from k3lat import (
     root_span_index,
     u2cubed_nikulin_overlattice,
 )
+from k3lat import gluing, linalg
 from k3lat.gluing import (
-    restriction_recovers_base,
     u2cubed_nikulin_base,
     u2cubed_nikulin_glue_vectors,
     verification_block,
@@ -48,8 +49,10 @@ def test_unimodular_glue_fingerprint():
 
 
 def test_glue_restriction_recovers_base():
+    # glue requires this on every call; restate it here from the returned data
     over = u2cubed_nikulin_overlattice()
-    assert restriction_recovers_base(over)
+    back = linalg.pairing_matrix(over.inclusion, over.lattice.gram_rows())
+    assert back == over.base.gram_rows()
     assert verification_block(over) == {
         "even": True,
         "det": -1,
@@ -126,12 +129,16 @@ def test_is_primitive_examples():
         is_primitive(amb, [[F(3, 2)]])
 
 
-def test_embedding_report():
-    report = nikulin_square_in_gamma16()
-    assert report["isometric_embedding"]
-    assert report["in_gamma16"]
-    assert report["first_factor_primitive"] and report["second_factor_primitive"]
-    assert report["index"] == 2 ** 6
+def test_embedding_report(monkeypatch):
+    # raises unless isometric, inside Gamma16 and with both factors primitive
+    assert nikulin_square_in_gamma16() == 2 ** 6
+    monkeypatch.setattr(gluing, "gamma16_contains", lambda v: False)
+    with pytest.raises(CheckFailed, match="image 0 is not in Gamma16"):
+        nikulin_square_in_gamma16()
+    monkeypatch.undo()
+    monkeypatch.setattr(gluing, "is_primitive", lambda ambient, rows: (False, [2]))
+    with pytest.raises(CheckFailed, match=r"the first N has cokernel torsion \[2\]"):
+        nikulin_square_in_gamma16()
 
 
 def test_glue_vectors_have_norm_minus_two_values():

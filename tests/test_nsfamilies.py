@@ -12,6 +12,7 @@ from k3lat import (
     e8,
     eigenspace_dimensions,
     hyperbolic_plane,
+    k3_lattice,
     lattice_fingerprint,
     moduli_dimension,
     morrison_nikulin_lattices,
@@ -22,7 +23,6 @@ from k3lat import (
 from k3lat.discforms import opposite_histogram
 from k3lat.nsfamilies import (
     canonical_glue_vector,
-    k3_model_full,
     k3_model_morrison_nikulin,
     k3_model_with_u_plus_n,
     tilde_family,
@@ -114,8 +114,8 @@ def test_transcendental_of_rank17_pair():
 
 
 def test_transcendental_of_full_lattice_is_rank_zero():
-    ambient, ns_basis = k3_model_full()
-    fp = transcendental_fingerprint(ambient, ns_basis)
+    identity = [[int(i == j) for j in range(22)] for i in range(22)]
+    fp = transcendental_fingerprint(k3_lattice(), identity)
     assert fp.rank == 0
 
 
