@@ -8,7 +8,10 @@ comes factored, Delta = b^2 c with c = a^2 - 4b.  A fibration stores c once
 and never multiplies Delta out: fiber types are read off the factorizations
 of b and c (degree <= 8 each), and deg Delta = 2 deg b + deg c.  The quotient
 by translation by the 2-torsion section is the standard 2-isogeny model
-(a, b) -> (-2a, c), which swaps the b-locus and the c-locus.
+(a, b) -> (-2a, c), which swaps the b-locus and the c-locus.  Factorizations
+over Q come from ``polyfactor`` (Zassenhaus on Python ints), memoized on the
+integer-primitive coefficients, since the quotient's b is f's c and its c is
+16 f.b.
 
 Moduli note: the Weierstrass parameter count for the generic family is
 5 + 9 = 14 coefficients minus 1 for the (x, y) scaling and minus 3 for the
@@ -32,8 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
+from . import polyfactor
 from .errors import BadInputError, UnsupportedError, decimal, require
 from .discforms import lattice_fingerprint
 from .lattice import Lattice, a_n, direct_sum, e8, hyperbolic_plane, nikulin, nikulin_node_coords
@@ -206,32 +208,20 @@ def _coerce(x) -> RatPoly:
     raise BadInputError(f"cannot treat {x!r} as a polynomial")
 
 
-_T = sympy.Symbol("t")
-
-
 def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     """Irreducible factorization over Q, factors integer-primitive, sorted.
 
-    The multiplied-out factorization is checked against the input, so the
-    factoring backend is never trusted blindly.
+    ``polyfactor.factor`` factors the integer-primitive form of p and caches
+    the result.  The multiplied-out factorization is checked against the
+    input on every call, cache hits included, so the factorizer is never
+    trusted blindly.
     """
     if p.is_zero:
         raise BadInputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    poly = sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
-        _T,
-        domain="QQ",
-    )
-    _, raw = poly.factor_list()
-    out = []
-    for f, e in raw:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-        rp = RatPoly(coeffs).primitive_normalized()
-        if rp.degree >= 1:
-            out.append((rp, int(e)))
-    out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
+    prim = tuple(int(c) for c in p.primitive_normalized().coeffs)
+    out = [(RatPoly(f), e) for f, e in polyfactor.factor(prim)]
     product = RatPoly([1])
     for f, e in out:
         for _ in range(e):
@@ -242,11 +232,14 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
 
 
 def squarefree_part(p: RatPoly) -> RatPoly:
-    """p / gcd(p, p'), monic."""
+    """p / gcd(p, p'), monic: the product of p's Yun factors."""
     if p.is_zero:
         raise BadInputError("zero polynomial")
-    g = p.gcd(p.derivative())
-    return (p // g).monic()
+    prim = [int(c) for c in p.primitive_normalized().coeffs]
+    out = RatPoly([1])
+    for a, _ in polyfactor.squarefree_decomposition(prim):
+        out = out * RatPoly(a)
+    return out.monic()
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +373,11 @@ def parse_fiber_list(text: str) -> list[tuple[int, int]]:
         try:
             out.append((int(name[1:]), int(count) if count else 1))
         except ValueError as exc:
+            if name[1:].isdecimal() and (not count or count.isdecimal()):
+                # int() refuses a string of decimal digits only past the digit limit
+                limit = sys.get_int_max_str_digits()
+                message = f"a fiber index or count has more than {limit} digits"
+                raise UnsupportedError(message) from exc
             raise BadInputError(f"malformed fiber {token!r}; expected I_n or I_n:count") from exc
     if not out:
         raise BadInputError("empty fiber list")

@@ -85,7 +85,8 @@ def test_domain_error_fails_only_its_criteria(
 def _run_optimized(pycache, *args):
     """Run ``python -O`` with this package importable, as a user would.
 
-    Both runs share one bytecode cache, so only the first compiles sympy.
+    Both runs share one bytecode cache under ``pycache``, so the second reuses
+    what the first compiled and nothing is written next to the sources.
     """
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=str(pycache))
@@ -132,3 +133,34 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_WITHOUT_SYMPY = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from k3lat.cli import main
+codes = []
+for argv in (
+    ["ell", "fibers", "--a", "1,2,0,-1,1", "--b", "3,0,1,-2,0,1,0,0,1"],
+    ["ell", "quotient", "--a", "1,0,0,0,1", "--b", "1"],
+    ["lattice", "info", "--std", "E8", "--twist", "-2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(["--json", *argv]))
+loaded = sorted(m for m, mod in sys.modules.items() if m.partition(".")[0] == "sympy" and mod)
+print(json.dumps({"codes": codes, "sympy": loaded}))
+"""
+
+
+def test_cli_runs_without_sympy():
+    # sympy is a test oracle only; an eager import in the package would fail here
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SYMPY],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0], "sympy": []}

@@ -3,8 +3,8 @@
 import json
 
 import pytest
-import sympy
 
+from k3lat import polyfactor
 from k3lat.cli import build_parser, main, run
 from k3lat.gluing import u2cubed_nikulin_base, u2cubed_nikulin_glue_vectors
 from k3lat.lattice import Lattice
@@ -313,9 +313,14 @@ _A_2500_DIGITS = "1" + "3" * 2499 + ",1"
         # refused before 2^(10^23) is formed, which would never return
         (["ell", "shioda-tate", "--fibers", "I2:" + "9" * 23, "--torsion", "1"], None, 1,
          "unsupported"),
+        (["ell", "shioda-tate", "--fibers", "I2:" + "9" * 5000, "--torsion", "1"], None, 1,
+         "unsupported"),
+        (["ell", "shioda-tate", "--fibers", "I" + "9" * 5000 + ":1", "--torsion", "1"], None, 1,
+         "unsupported"),
     ],
     ids=["input-4401-digits", "det-5000-digits", "disc-4772-digits", "quotient-b-5000-digits",
-         "fiber-place-5000-digits", "disc-count-23-digits"],
+         "fiber-place-5000-digits", "disc-count-23-digits", "fiber-count-5000-digits",
+         "fiber-index-5000-digits"],
 )
 def test_numbers_beyond_the_digit_limit_end_in_an_envelope(
     argv, file_text, exit_code, code, tmp_path, capsys
@@ -328,16 +333,22 @@ def test_numbers_beyond_the_digit_limit_end_in_an_envelope(
 
 
 def test_failed_library_check_is_a_check_failed_envelope(monkeypatch, capsys):
-    factor_list = sympy.Poly.factor_list
+    recombine = polyfactor._recombine
 
-    def drop_a_factor(poly):
-        unit, factors = factor_list(poly)
-        return unit, factors[1:]
+    def drop_a_factor(f, lifted, m):
+        return recombine(f, lifted, m)[1:]
 
-    # irreducible_factors multiplies the factors back and must notice the loss
-    monkeypatch.setattr(sympy.Poly, "factor_list", drop_a_factor)
-    argv = ["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"]
-    _assert_error_envelope(argv, 1, "check_failed", capsys)
+    # irreducible_factors multiplies the factors back and must notice the loss,
+    # on the first call and on the memo hit of the second (--json) call
+    monkeypatch.setattr(polyfactor, "_recombine", drop_a_factor)
+    polyfactor.factor.cache_clear()
+    try:
+        argv = ["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"]
+        _assert_error_envelope(argv, 1, "check_failed", capsys)
+        message = "the factors of a degree-8 polynomial do not multiply back to it"
+        assert run(argv).diagnostics == [message]
+    finally:
+        polyfactor.factor.cache_clear()
 
 
 def test_unknown_subcommand_exits_two(capsys):
