@@ -44,10 +44,12 @@ class FiniteQuadraticForm:
         self.order = math.prod(self.invariant_factors)
         self._coordinates = [list(map(int, row)) for row in coordinates]
         den = math.lcm(*(c.denominator for g in self.generators for c in g))
-        scaled = [[int(c * den) for c in g] for g in self.generators]
+        #: den * g_i on ints, the generator lifts without Fractions
+        self._scaled = [[c.numerator * (den // c.denominator) for c in g] for g in self.generators]
+        self._den = den
         self._den2 = den * den
         # P = den^2 * b(g_i, g_j); only P mod den^2 (2 den^2 on the diagonal) matters
-        pair = linalg.pairing_matrix(scaled, parent.gram_rows())
+        pair = linalg.pairing_matrix(self._scaled, parent.gram_rows())
         self._pair = [
             [x % (2 * self._den2 if i == j else self._den2) for j, x in enumerate(row)]
             for i, row in enumerate(pair)
@@ -93,7 +95,11 @@ class FiniteQuadraticForm:
         if len(w) != self.parent.rank:
             raise BadInputError("vector length must equal the lattice rank")
         den = math.lcm(*(x.denominator for x in w))
-        gw = linalg.mat_vec(self.parent.gram_rows(), [int(x * den) for x in w])
+        return self._class_of_scaled([x.numerator * (den // x.denominator) for x in w], den)
+
+    def _class_of_scaled(self, w: list[int], den: int) -> DiscElement:
+        """Class of the dual vector w / den, for an integer vector w."""
+        gw = linalg.mat_vec(self.parent.gram_rows(), w)
         if any(x % den for x in gw):
             raise BadInputError("vector does not pair integrally with the lattice")
         gw = [x // den for x in gw]
@@ -268,7 +274,7 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
     gtg = linalg.mat_mul(linalg.transpose(matrix), linalg.mat_mul(gram, matrix))
     if not linalg.mat_eq(gtg, gram):
         raise BadInputError("generator is not an isometry of the parent lattice")
-    images = [form.element_of(linalg.mat_vec(matrix, g)) for g in form.generators]
+    images = [form._class_of_scaled(linalg.mat_vec(matrix, g), form._den) for g in form._scaled]
     table = {}
     for x in form.elements():
         image = [0] * len(x)

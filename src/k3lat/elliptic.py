@@ -154,22 +154,29 @@ class RatPoly:
         return RatPoly([c / lead for c in self.coeffs])
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        a, b = self, _coerce(other)
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        """Monic gcd over Q (zero when both are zero).
+
+        A primitive pseudo-remainder sequence on the integer-primitive
+        coefficients: lc(b)^k a = q b + r over Z, then b, prim(r) in place of
+        a, b.  It runs on Python ints and shares no code with ``polyfactor``,
+        so the screens of ``verify`` stay independent of the factorizer.
+        """
+        a, b = _primitive(_integer_coeffs(self)), _primitive(_integer_coeffs(_coerce(other)))
+        while b:
+            r, lead, d = a, b[-1], len(b) - 1
+            while len(r) > d:  # r = lead^k a mod b
+                top, shift = r[-1], len(r) - 1 - d
+                r = [lead * c for c in r]
+                for j, c in enumerate(b):
+                    r[shift + j] -= top * c
+                while r and r[-1] == 0:
+                    r.pop()
+            a, b = b, _primitive(r)
+        return RatPoly(a).monic()
 
     def primitive_normalized(self) -> "RatPoly":
         """Integer-primitive representative with positive leading coefficient."""
-        if self.is_zero:
-            return self
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * denom) for c in self.coeffs]
-        g = math.gcd(*ints)
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return RatPoly(ints)
+        return RatPoly(_primitive(_integer_coeffs(self)))
 
     def coeff_strings(self) -> list[str]:
         return [decimal(c) for c in self.coeffs]
@@ -200,6 +207,20 @@ class RatPoly:
         return f"RatPoly({self})"
 
 
+def _integer_coeffs(p: RatPoly) -> list[int]:
+    """The coefficients of p times their common denominator."""
+    denom = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (denom // c.denominator) for c in p.coeffs]
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by their content, leading entry positive ([] for zero)."""
+    if not ints:
+        return []
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [v // g for v in ints]
+
+
 def _coerce(x) -> RatPoly:
     if isinstance(x, RatPoly):
         return x
@@ -220,7 +241,7 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
         raise BadInputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    prim = tuple(int(c) for c in p.primitive_normalized().coeffs)
+    prim = tuple(_primitive(_integer_coeffs(p)))
     out = [(RatPoly(f), e) for f, e in polyfactor.factor(prim)]
     product = RatPoly([1])
     for f, e in out:
@@ -235,7 +256,7 @@ def squarefree_part(p: RatPoly) -> RatPoly:
     """p / gcd(p, p'), monic: the product of p's Yun factors."""
     if p.is_zero:
         raise BadInputError("zero polynomial")
-    prim = [int(c) for c in p.primitive_normalized().coeffs]
+    prim = _primitive(_integer_coeffs(p))
     out = RatPoly([1])
     for a, _ in polyfactor.squarefree_decomposition(prim):
         out = out * RatPoly(a)

@@ -75,10 +75,13 @@ def glue(data: GlueData) -> Overlattice:
     base = data.base
     n = base.rank
     gram = base.gram_rows()
+    scaled = []  # (den, den * v) per glue vector, on ints
     for v in data.glue_vectors:
-        gv = linalg.mat_vec(gram, list(v))
-        if any(x.denominator != 1 for x in gv):
+        den = math.lcm(*(c.denominator for c in v))
+        w = [c.numerator * (den // c.denominator) for c in v]
+        if any(x % den for x in linalg.mat_vec(gram, w)):  # G v integral <=> G (den v) = 0 mod den
             raise NotDualVectorError(f"glue vector {v} is not in the dual lattice")
+        scaled.append((den, w))
 
     form = discriminant_form(base)
     classes = [form.element_of(list(v)) for v in data.glue_vectors]
@@ -97,9 +100,9 @@ def glue(data: GlueData) -> Overlattice:
 
     # H = denom * (overlattice basis) is the integral, upper-triangular HNF of
     # denom * Z^n plus the scaled glue vectors
-    denom = math.lcm(*(c.denominator for v in data.glue_vectors for c in v))
+    denom = math.lcm(*(den for den, _ in scaled))
     rows = [[denom * x for x in row] for row in linalg.identity_matrix(n)]
-    rows += [[int(c * denom) for c in v] for v in data.glue_vectors]
+    rows += [[(denom // den) * x for x in w] for den, w in scaled]
     hnf = linalg.hermite_normal_form(rows)
     require(len(hnf) == n, f"glue HNF has rank {len(hnf)}, not the base rank {n}")
     index = denom ** n // math.prod(hnf[i][i] for i in range(n))
@@ -214,11 +217,6 @@ def nikulin_square_overlattice() -> Overlattice:
 # explicit embedding N + N -> Gamma16(-1)
 
 
-def _ambient_pair(x, y) -> Fraction:
-    # Gamma16(-1): bilinear form is minus the standard dot product
-    return -sum(a * b for a, b in zip(x, y))
-
-
 def nikulin_square_in_gamma16() -> int:
     """The explicit embedding of N + N into Gamma16(-1) and its index 2^6.
 
@@ -227,17 +225,19 @@ def nikulin_square_in_gamma16() -> int:
     the image or the cokernel, unless it is an isometric embedding into
     Gamma16 with both factors primitive; returns the index of the image.
     """
-    images = []
+    doubled = []  # twice the images, so the pairings run on ints
     for sign in (1, -1):  # the first factor, then the second
         for i in range(7):
-            v = [Fraction(0)] * 16
-            v[i], v[i + 8] = Fraction(1), Fraction(sign)
-            images.append(v)
-        images.append([Fraction(1, 2)] * 8 + [Fraction(sign, 2)] * 8)  # (Nhat, 0), (0, Nhat)
+            v = [0] * 16
+            v[i], v[i + 8] = 2, 2 * sign
+            doubled.append(v)
+        doubled.append([1] * 8 + [sign] * 8)  # (Nhat, 0), (0, Nhat)
     gram = nikulin_square_base().gram_rows()
+    # Gamma16(-1): the bilinear form is minus the standard dot product
     bad = next(((i, j) for i in range(16) for j in range(16)
-                if _ambient_pair(images[i], images[j]) != gram[i][j]), None)
+                if -linalg.dot(doubled[i], doubled[j]) != 4 * gram[i][j]), None)
     require(bad is None, f"N + N -> Gamma16(-1): the images of basis pair {bad} pair wrongly")
+    images = [[Fraction(c, 2) for c in v] for v in doubled]
     outside = next((k for k, v in enumerate(images) if not gamma16_contains(v)), None)
     require(outside is None, f"N + N -> Gamma16(-1): image {outside} is not in Gamma16")
     coords = [gamma16_coordinates(v) for v in images]

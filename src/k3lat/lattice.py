@@ -24,6 +24,7 @@ from .errors import (
     DegenerateGramError,
     IsotropicComplementError,
     NotDefiniteError,
+    UnsupportedError,
     require,
 )
 from . import linalg
@@ -252,61 +253,74 @@ def e8_simple_reflections() -> list[list[list[int]]]:
 # e_{i}-e_{i+1} for i=2..15 and e_15+e_16) plus the half-sum (e_1+...+e_16)/2.
 
 
-def gamma16_basis_vectors() -> list[list[Fraction]]:
-    """Basis of Gamma16 as rational vectors in the standard Q^16."""
+def _gamma16_doubled_basis() -> list[list[int]]:
+    """Twice the basis of Gamma16, as integer vectors in Z^16."""
     vecs = []
     for i in range(2, 16):  # e_i - e_{i+1}, i = 2..15
-        v = [Fraction(0)] * 16
-        v[i - 1] = Fraction(1)
-        v[i] = Fraction(-1)
+        v = [0] * 16
+        v[i - 1], v[i] = 2, -2
         vecs.append(v)
-    v = [Fraction(0)] * 16
-    v[14] = Fraction(1)
-    v[15] = Fraction(1)
+    v = [0] * 16
+    v[14] = v[15] = 2
     vecs.append(v)  # e_15 + e_16
-    vecs.append([Fraction(1, 2)] * 16)  # half-sum glue vector
+    vecs.append([1] * 16)  # half-sum glue vector
     return vecs
+
+
+def gamma16_basis_vectors() -> list[list[Fraction]]:
+    """Basis of Gamma16 as rational vectors in the standard Q^16."""
+    return [[Fraction(c, 2) for c in v] for v in _gamma16_doubled_basis()]
 
 
 def gamma16(twist: int = 1) -> Lattice:
     """Gamma16 in its integral basis; Gamma16(-1) for twist -1."""
-    vecs = gamma16_basis_vectors()
-    g = [[int(linalg.dot(v, w)) for w in vecs] for v in vecs]
+    vecs = _gamma16_doubled_basis()
+    g = [[linalg.dot(v, w) // 4 for w in vecs] for v in vecs]  # (2v).(2w) = 4 v.w exactly
     labels = tuple(f"d{i}" for i in range(1, 16)) + ("s",)
     return Lattice(g, labels, "Gamma16").twist(twist)
 
 
-def gamma16_contains(x) -> bool:
-    """Membership test for Gamma16 in ambient coordinates.
+def _gamma16_doubled(x) -> list[int] | None:
+    """2x as integers when x lies in Gamma16, else None.
 
-    x must satisfy: 2*x_i integral, x_i - x_j integral, sum(x_i) in 2Z.
+    x lies in Gamma16 when 2 x_i is integral, x_i - x_j is integral and
+    sum(x_i) is in 2Z, i.e. when y = 2x is integral with all y_i of one
+    parity and sum(y_i) in 4Z.
     """
-    xs = [Fraction(v) for v in x]
-    if len(xs) != 16:
+    if len(x) != 16:
         raise BadInputError("Gamma16 vectors live in Q^16")
-    if any((2 * v).denominator != 1 for v in xs):
-        return False
-    if any((v - xs[0]).denominator != 1 for v in xs):
-        return False
-    total = sum(xs)
-    return total.denominator == 1 and total.numerator % 2 == 0
+    ys = [2 * Fraction(v) for v in x]
+    if any(y.denominator != 1 for y in ys):
+        return None
+    y = [int(c) for c in ys]
+    if any((c - y[0]) % 2 for c in y) or sum(y) % 4:
+        return None
+    return y
+
+
+def gamma16_contains(x) -> bool:
+    """Membership test for Gamma16 in ambient coordinates."""
+    return _gamma16_doubled(x) is not None
 
 
 def gamma16_coordinates(x) -> list[int]:
     """Express an ambient vector in the Gamma16 integral basis."""
-    if not gamma16_contains(x):
+    y = _gamma16_doubled(x)
+    if y is None:
         raise BadInputError("vector is not in Gamma16")
-    xs = [Fraction(v) for v in x]
-    coords = linalg.mat_vec(_gamma16_basis_inverse(), xs)
-    bad = [str(c) for c in coords if c.denominator != 1]
+    inverse, den = _gamma16_doubled_inverse()
+    coords = [divmod(linalg.dot(row, y), den) for row in inverse]
+    bad = [str(Fraction(q * den + r, den)) for q, r in coords if r]
     require(not bad, f"Gamma16 coordinates {bad} of a Gamma16 vector are not integral")
-    return [int(c) for c in coords]
+    return [q for q, _ in coords]
 
 
 @cache
-def _gamma16_basis_inverse() -> tuple[tuple[Fraction, ...], ...]:
-    inv = linalg.rational_inverse(linalg.transpose(gamma16_basis_vectors()))
-    return tuple(tuple(row) for row in inv)
+def _gamma16_doubled_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, den) with N / den the inverse of the matrix whose columns are the doubled basis."""
+    inv = linalg.rational_inverse(linalg.transpose(_gamma16_doubled_basis()))
+    den = math.lcm(*(c.denominator for row in inv for c in row))
+    return tuple(tuple(int(c * den) for c in row) for row in inv), den
 
 
 _STANDARD_KINDS = ("U", "E8", "An", "rank1", "NikulinN", "Gamma16")
@@ -422,13 +436,21 @@ def sublattice_index(lattice: Lattice, vectors) -> int:
 # short vector enumeration
 
 
+#: search nodes (coordinate prefixes tried) after which a short-vector search
+#: raises UnsupportedError instead of running on: ~0.6 s of search.  The
+#: largest search in the tests, Gamma16(-1) at norm -4, visits 148,476 nodes;
+#: verify-paper and the benchmarks stay under 4,000.
+_SHORT_VECTOR_NODE_BOUND = 200_000
+
+
 def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ...]]:
     """All v with v.v = norm in a negative definite lattice, lex ordered.
 
     norm must be a negative even integer.  The list contains v and -v
     together; completeness comes from exact Fincke-Pohst style bounds on a
     rational Cholesky decomposition of the positive form -gram, scaled once
-    to integers so the search itself runs on ints.
+    to integers so the search itself runs on ints.  A search that would visit
+    more than _SHORT_VECTOR_NODE_BOUND nodes raises UnsupportedError.
     """
     if not lattice.is_negative_definite:
         raise NotDefiniteError("short vector enumeration needs a negative definite lattice")
@@ -456,10 +478,18 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
     cs = [int(w * scale) for w in weights]
     results: list[tuple[int, ...]] = []
     x = [0] * n
+    nodes = 0
 
-    def descend(i: int, remaining: int) -> None:
-        den, c, row = dens[i], cs[i], coef[i]
-        shift = sum(a * xj for a, xj in zip(row, x[i + 1:]))
+    def descend(i: int, remaining: int, shift: int) -> None:
+        # shift = sum_{j>i} a_ij x_j, set by the caller
+        nonlocal nodes
+        nodes += 1
+        if nodes > _SHORT_VECTOR_NODE_BOUND:
+            raise UnsupportedError(
+                f"vectors of norm {norm} in a rank-{n} lattice: the search visited "
+                f"{nodes} nodes, past the bound {_SHORT_VECTOR_NODE_BOUND}"
+            )
+        den, c = dens[i], cs[i]
         # |den x_i + shift| <= t  <=>  c (den x_i + shift)^2 <= remaining
         t = math.isqrt(remaining // c)
         if i == 0:  # the last coordinate must use up the budget exactly
@@ -470,13 +500,15 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
                         results.append(tuple(x))
                 x[0] = 0
             return
+        below = coef[i - 1]  # the next shift is rest + below[0] x_i
+        rest = sum(a * xj for a, xj in zip(below[1:], x[i + 1:]))
         for xi in range(-((t + shift) // den), (t - shift) // den + 1):
             x[i] = xi
             y = den * xi + shift
-            descend(i - 1, remaining - c * y * y)
+            descend(i - 1, remaining - c * y * y, rest + below[0] * xi)
         x[i] = 0
 
-    descend(n - 1, -norm * scale)
+    descend(n - 1, -norm * scale, 0)
     results = [v for v in results if any(v)]
     results.sort()
     return results

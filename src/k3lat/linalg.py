@@ -3,14 +3,17 @@
 Everything here works on plain lists of Python ints or ``Fraction``s, so all
 results are exact for arbitrary magnitudes.  Matrices are row-major lists of
 rows; a "vector" is a flat list of coordinates.  No floating point is used
-anywhere in the package.
+anywhere in the package.  The kernels run on ints: determinants and
+signatures by fraction-free (Bareiss) elimination, whose divisions are exact,
+Hermite and Smith normal forms by integer row and column operations.  Only
+``rational_inverse`` works over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadInputError, DegenerateGramError
+from .errors import BadInputError, DegenerateGramError, require
 
 IntMatrix = list[list[int]]
 
@@ -277,14 +280,23 @@ def integer_kernel(mat) -> list[list[int]]:
 
 
 def signature_of_symmetric(gram) -> tuple[int, int]:
-    """Counts of positive and negative pivots of a symmetric matrix.
+    """Counts of positive and negative pivots of a symmetric integer matrix.
 
-    Exact symmetric Gaussian elimination over Q (Sylvester's law of inertia);
-    raises on a degenerate form.
+    Fraction-free symmetric Bareiss elimination (Bareiss, Math. Comp. 22,
+    1968): after step i every entry (r, c) of the trailing block is the minor
+    of the rows 0..i, r and the columns 0..i, c, so each division by the
+    previous pivot is exact, and it is checked to be.  The pivot D_{i+1} of
+    step i is a leading principal minor; the LDL^T pivot D_{i+1}/D_i has the
+    sign sign(D_{i+1}) sign(D_i), and Sylvester's law of inertia counts those
+    signs.  When the trailing diagonal is all zero, a row and column with a
+    nonzero off-diagonal entry a_kl is added to row and column k, a
+    congruence that makes the new a_kk = 2 a_kl nonzero.  Raises
+    DegenerateGramError on a degenerate form.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     pos = neg = 0
+    prev = 1
     for i in range(n):
         piv = next((k for k in range(i, n) if a[k][k] != 0), None)
         if piv is None:
@@ -297,26 +309,30 @@ def signature_of_symmetric(gram) -> tuple[int, int]:
                     "symmetric form is degenerate (zero block of size %d)" % (n - i)
                 )
             k, l = pair
-            for c in range(n):
+            for c in range(i, n):
                 a[k][c] += a[l][c]
-            for r in range(n):
+            for r in range(i, n):
                 a[r][k] += a[r][l]
             piv = k
         if piv != i:
             a[i], a[piv] = a[piv], a[i]
-            for r in range(n):
+            for r in range(i, n):
                 a[r][i], a[r][piv] = a[r][piv], a[r][i]
         p = a[i][i]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] / p
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-        for c in range(i + 1, n):
-            a[i][c] = Fraction(0)
+        top = a[i]
+        inexact = []
+        for r in range(i + 1, n):  # the upper triangle, mirrored into the lower one
+            row = a[r]
+            f = row[i]
+            for c in range(r, n):
+                row[c], rem = divmod(row[c] * p - f * top[c], prev)
+                if rem:
+                    inexact.append((r, c))
+                a[c][r] = row[c]
+        require(not inexact, f"Bareiss division by {prev} is inexact at {inexact[:3]}")
+        prev = p
     return pos, neg
-

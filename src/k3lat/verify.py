@@ -343,12 +343,12 @@ def check_property_suites() -> dict:
         form = discriminant_form(lat)
         if form.order > 64:
             continue
-        elements = list(form.elements())
-        bad = [(x, y) for x in elements for y in elements
-               if (form.q(form.add(x, y)) - form.q(x) - form.q(y)) % 2 != (2 * form.b(x, y)) % 2]
+        q = {x: form.q(x) for x in form.elements()}  # q once per element, b once per pair
+        bad = [(x, y) for x in q for y in q
+               if (q[form.add(x, y)] - q[x] - q[y]) % 2 != (2 * form.b(x, y)) % 2]
         require(not bad, f"polarization fails on {bad[:1]} in {lat}")
-        pairs_checked += len(elements) ** 2
-        bad = [x for x in elements if form.q(form.scale(3, x)) != (9 * form.q(x)) % 2]
+        pairs_checked += len(q) ** 2
+        bad = [x for x in q if q[form.scale(3, x)] != (9 * q[x]) % 2]
         require(not bad, f"q(3x) != 9 q(x) for x in {bad[:1]} in {lat}")
     from math import comb
 

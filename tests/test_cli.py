@@ -1,6 +1,7 @@
 """CLI surface: payload shapes, exit codes, JSON round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -392,3 +393,24 @@ def test_parser_help_exits_zero():
 
 def test_parser_builds():
     build_parser()
+
+
+def test_short_vector_search_past_its_node_bound_is_unsupported(capsys):
+    # Gamma16(-1) has 480 sigma_7(4) = 7,926,240 vectors of norm -8; the
+    # search stops at the node bound (~0.6 s) instead of running for minutes
+    argv = ["lattice", "roots", "--std", "Gamma16", "--twist", "-1", "--norm", "-8"]
+    for prefix in ([], ["--json"]):
+        start = time.process_time()
+        code = main(prefix + argv)
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        if prefix:
+            error = json.loads(captured.out)
+            assert error["error_code"] == "unsupported" and captured.err == ""
+            message = error["diagnostics"][0]
+        else:
+            error = json.loads(captured.err)
+            assert error["code"] == "unsupported" and captured.out == ""
+            message = error["message"]
+        assert "visited 200001 nodes, past the bound 200000" in message

@@ -1,9 +1,11 @@
-"""The integer cores of discriminant forms, induced actions, Fincke-Pohst and glue.
+"""The integer cores of discriminant forms, induced actions, Fincke-Pohst, glue,
+signatures, the Gamma16 model and polynomial gcds.
 
 Expected values come from outside the code under test: a Fraction oracle built
 here from the generator lifts and the Gram matrix, the class of the image of
-every lift, theta-series coefficients, brute-force box enumeration, and the
-inverse of the overlattice basis.
+every lift, theta-series coefficients, brute-force box enumeration, the
+inverse of the overlattice basis, Fraction LDL^T elimination, Fraction dot
+products and Euclid over Fractions.
 """
 
 import itertools
@@ -12,12 +14,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
+    DegenerateGramError,
     GlueData,
+    NonIsotropicGlueError,
+    NotDualVectorError,
     a_n,
     direct_sum,
     discriminant_form,
@@ -31,9 +36,10 @@ from k3lat import (
     nikulin_permutation_matrix,
     rank_one,
 )
-from k3lat import linalg
+from k3lat import linalg, polyfactor
 from k3lat.discforms import action_on_disc
-from k3lat.lattice import Lattice
+from k3lat.elliptic import RatPoly
+from k3lat.lattice import Lattice, gamma16_basis_vectors
 
 TWISTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
@@ -240,3 +246,140 @@ def test_glue_matches_fraction_oracle(case):
     # and it is the canonical HNF basis over the denominator 2
     scaled = [[int(2 * b) for b in row] for row in basis]
     assert linalg.hermite_normal_form(scaled) == scaled
+
+
+def _fraction_ldl_signature(gram):
+    """Symmetric Gaussian elimination over Q: the signature by Fraction pivots."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for i in range(n):
+        piv = next((k for k in range(i, n) if a[k][k] != 0), None)
+        if piv is None:
+            pair = next(
+                ((k, l) for k in range(i, n) for l in range(k + 1, n) if a[k][l] != 0), None
+            )
+            if pair is None:
+                raise DegenerateGramError(
+                    "symmetric form is degenerate (zero block of size %d)" % (n - i)
+                )
+            k, l = pair
+            for c in range(n):
+                a[k][c] += a[l][c]
+            for r in range(n):
+                a[r][k] += a[r][l]
+            piv = k
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            for r in range(n):
+                a[r][i], a[r][piv] = a[r][piv], a[r][i]
+        p = a[i][i]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            if a[r][i] != 0:
+                f = a[r][i] / p
+                for c in range(i, n):
+                    a[r][c] -= f * a[i][c]
+        for c in range(i + 1, n):
+            a[i][c] = Fraction(0)
+    return pos, neg
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric ints, n <= 8; zero diagonal half the time, a repeated index sometimes."""
+    n = draw(st.integers(1, 8))
+    zero_diagonal = draw(st.booleans())
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    if n > 1 and draw(st.integers(0, 3)) == 0:  # index n-1 repeats index 0: degenerate
+        a[n - 1] = list(a[0])
+        for i in range(n):
+            a[i][n - 1] = a[n - 1][i]
+    return a
+
+
+def _outcome(signature, gram):
+    try:
+        return signature(gram)
+    except DegenerateGramError as exc:
+        return ("degenerate", str(exc))
+
+
+@given(symmetric_matrices())
+@example([[0, 1, 0], [1, 0, 0], [0, 0, -3]])  # the pair trick, then a negative pivot
+@example([[0, 0], [0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[0, 1, 1], [1, 0, 0], [1, 0, 0]])  # degenerate after the pair trick
+@settings(max_examples=300, deadline=None)
+def test_bareiss_signature_matches_fraction_ldl(gram):
+    # every Bareiss division is checked to be exact, so an inexact one would
+    # raise CheckFailed here instead of agreeing with the oracle
+    assert _outcome(linalg.signature_of_symmetric, gram) == _outcome(_fraction_ldl_signature, gram)
+
+
+def test_gamma16_gram_is_the_fraction_dot_products():
+    basis = gamma16_basis_vectors()
+    dots = [[sum(x * y for x, y in zip(v, w)) for w in basis] for v in basis]
+    assert all(d.denominator == 1 for row in dots for d in row)
+    assert gamma16().gram == tuple(tuple(int(d) for d in row) for row in dots)
+    assert gamma16(-1).gram == tuple(tuple(-int(d) for d in row) for row in dots)
+
+
+def _fraction_euclid_gcd(a, b):
+    """Monic gcd over Q by Euclid on Fraction coefficients."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def rational_polys(max_degree):
+    return st.lists(RATIONALS, max_size=max_degree + 1).map(RatPoly)
+
+
+@given(
+    rational_polys(3), rational_polys(4), rational_polys(4),
+    st.sampled_from(["both", "zero", "constant"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_prs_gcd_matches_fraction_euclid(shared, left, right, shape):
+    # a planted shared factor, non-monic leading coefficients throughout, and
+    # zero or constant second operands
+    a = left * shared
+    b = {"both": right * shared, "zero": RatPoly(), "constant": RatPoly([Fraction(-3, 2)])}[shape]
+    assert a.gcd(b) == _fraction_euclid_gcd(a, b)
+    assert b.gcd(a) == _fraction_euclid_gcd(b, a)
+    if shape == "both" and not (shared.is_zero or left.is_zero or right.is_zero):
+        assert shared.divides(a.gcd(b))
+
+
+def test_prs_gcd_edge_cases_without_the_factorizer(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the gcd screen called the factorizer")
+
+    for name in ("factor", "squarefree_decomposition", "_gcd_z"):
+        monkeypatch.setattr(polyfactor, name, refuse)
+    t = RatPoly([0, 1])
+    assert RatPoly().gcd(RatPoly()) == RatPoly()
+    assert RatPoly().gcd(RatPoly([0, 0, 4])) == RatPoly([0, 0, 1])
+    assert RatPoly([Fraction(2, 3)]).gcd(t * t + 1) == RatPoly([1])
+    p = (t - Fraction(1, 2)) * (t * 3 + 2) * Fraction(7, 5)
+    assert p.gcd(p.derivative()) == RatPoly([1])
+    assert (p * p).gcd((p * p).derivative()) == p.monic()
+
+
+def test_glue_mixed_denominators_are_scaled_by_their_lcm():
+    base = Lattice([[2, 0], [0, 6]])
+    with pytest.raises(NotDualVectorError):  # G v = (2/3, 3)
+        glue(GlueData.of(base, [[Fraction(1, 3), Fraction(1, 2)]]))
+    with pytest.raises(NonIsotropicGlueError):  # G v = (1, 2) is dual, q = 7/6
+        glue(GlueData.of(base, [[Fraction(1, 2), Fraction(1, 3)]]))
