@@ -121,8 +121,7 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data) -> "Lattice":
-        if isinstance(data, str):
-            data = json.loads(data)
+        """The lattice of a decoded JSON document; a JSON string is not one."""
         if not isinstance(data, dict) or "gram" not in data:
             raise BadInputError('lattice JSON needs a "gram" key')
         return cls(data["gram"], data.get("labels"), data.get("name"))

@@ -279,13 +279,15 @@ def _assert_error_envelope(argv, exit_code, code, capsys):
     [
         (["lattice", "info", "--file", "FILE"], '{"gram": 5}'),
         (["lattice", "info", "--file", "FILE"], '{"gram": [["a"]]}'),
+        (["disc", "--file", "FILE"], '""'),
+        (["lattice", "info", "--file", "FILE"], json.dumps('{"gram": [[2]]}')),
         (["ell", "shioda-tate", "--fibers", "I2:x", "--torsion", "2"], None),
         (["k3", "push", "--vector", '{"a": 1}'], None),
         (["k3", "push", "--vector", "5"], None),
         (["k3", "pull", "--extended", "--vector", '["1/0"]'], None),
         (["k3", "push", "--vector", _PUSH_HALF], None),
     ],
-    ids=["gram-int", "gram-str", "fiber-count", "vector-dict", "vector-int", "vector-1/0", "vector-1.5"],
+    ids=["gram-int", "gram-str", "doc-empty-str", "doc-str-of-lattice", "fiber-count", "vector-dict", "vector-int", "vector-1/0", "vector-1.5"],
 )
 def test_malformed_input_is_bad_input_envelope(argv, file_text, tmp_path, capsys):
     if file_text is not None:
