@@ -5,18 +5,27 @@ U*G*V = D gives A_M as a product of cyclic groups Z/d_i, and since
 G^-1 U^-1 = V D^-1 generator i lifts to the dual vector (column i of V)/d_i.
 Let e be the common denominator of the lifts (the largest invariant factor).
 The form keeps the integer pairing P = e^2 * b(g_i, g_j) of the integral
-vectors e*g_i, so q(x) = sum x_i x_j P_ij / e^2 mod 2Z and b(x, y) = sum x_i
-y_j P_ij / e^2 mod Z are sums of ints.  Each value is returned as one canonical
-Fraction, in [0, 2) for q and in [0, 1) for b.
+vectors e*g_i, so every value of q and b is an integer numerator over the one
+fixed denominator e^2: ``q_numerator(x)`` = sum x_i x_j P_ij mod 2e^2 and
+``b_numerator(x, y)`` = sum x_i y_j P_ij mod e^2.  Everything in this module
+and the checks built on it compare those numerators; ``Fraction``s appear only
+at the API edge, where ``q`` and ``b`` return one canonical Fraction, in [0, 2)
+for q and in [0, 1) for b.
+
+``discriminant_form`` and ``lattice_fingerprint`` are memoized on the Gram
+matrix (``Lattice`` compares Grams only): their values are immutable, so
+callers share them, and an error is raised afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import BadInputError, OddLatticeError, UnsupportedError, require
 from . import linalg
@@ -34,7 +43,8 @@ class FiniteQuadraticForm:
 
     ``coordinates`` holds one integer row per generator: the class of a dual
     vector w has residue (row . G w) mod d_i, as the nontrivial rows of U in
-    the Smith form U*G*V = D give.
+    the Smith form U*G*V = D give.  Everything set here is a tuple, since the
+    memo of ``discriminant_form`` shares one form between callers.
     """
 
     def __init__(self, parent: Lattice, factors, generators, coordinates):
@@ -42,18 +52,22 @@ class FiniteQuadraticForm:
         self.invariant_factors = tuple(int(d) for d in factors)
         self.generators = tuple(tuple(Fraction(c) for c in g) for g in generators)
         self.order = math.prod(self.invariant_factors)
-        self._coordinates = [list(map(int, row)) for row in coordinates]
+        self._coordinates = tuple(tuple(map(int, row)) for row in coordinates)
         den = math.lcm(*(c.denominator for g in self.generators for c in g))
         #: den * g_i on ints, the generator lifts without Fractions
-        self._scaled = [[c.numerator * (den // c.denominator) for c in g] for g in self.generators]
+        self._scaled = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in g) for g in self.generators
+        )
         self._den = den
-        self._den2 = den * den
+        #: q and b values are integer numerators over this denominator den^2
+        self.denominator = den * den
         # P = den^2 * b(g_i, g_j); only P mod den^2 (2 den^2 on the diagonal) matters
         pair = linalg.pairing_matrix(self._scaled, parent.gram_rows())
-        self._pair = [
-            [x % (2 * self._den2 if i == j else self._den2) for j, x in enumerate(row)]
+        den2 = self.denominator
+        self._pair = tuple(
+            tuple(x % (2 * den2 if i == j else den2) for j, x in enumerate(row))
             for i, row in enumerate(pair)
-        ]
+        )
 
     # -- element bookkeeping ------------------------------------------------
 
@@ -109,6 +123,14 @@ class FiniteQuadraticForm:
 
     def q(self, x: DiscElement) -> Fraction:
         """Quadratic form value in Q/2Z, reduced into [0, 2)."""
+        return Fraction(self.q_numerator(x), self.denominator)
+
+    def b(self, x: DiscElement, y: DiscElement) -> Fraction:
+        """Bilinear form value in Q/Z, reduced into [0, 1)."""
+        return Fraction(self.b_numerator(x, y), self.denominator)
+
+    def q_numerator(self, x: DiscElement) -> int:
+        """q(x) * denominator, reduced into [0, 2 * denominator)."""
         pair = self._pair
         k = len(x)
         if k != len(pair):
@@ -123,30 +145,41 @@ class FiniteQuadraticForm:
                     if x[j]:
                         cross += x[j] * row[j]
                 total += xi * (xi * row[i] + 2 * cross)
-        return Fraction(total % (2 * self._den2), self._den2)
+        return total % (2 * self.denominator)
 
-    def b(self, x: DiscElement, y: DiscElement) -> Fraction:
-        """Bilinear form value in Q/Z, reduced into [0, 1)."""
+    def b_numerator(self, x: DiscElement, y: DiscElement) -> int:
+        """b(x, y) * denominator, reduced into [0, denominator)."""
         if not len(x) == len(y) == len(self._pair):
             raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not both lie in {self}")
         total = 0
         for ci, row in zip(x, self._pair):
             if ci:
                 total += ci * sum(cj * p for cj, p in zip(y, row) if cj)
-        return Fraction(total % self._den2, self._den2)
+        return total % self.denominator
+
+    @functools.cached_property
+    def q_numerators(self) -> MappingProxyType:
+        """Read-only map from every element to its q_numerator, built on first use.
+
+        The form keeps it, so use it only on groups small enough to list twice.
+        """
+        return MappingProxyType({x: self.q_numerator(x) for x in self.elements()})
 
     def q_histogram(self) -> dict[Fraction, int]:
         if self.order > _HISTOGRAM_BOUND:
             raise UnsupportedError(
                 f"discriminant group of order {self.order} is too large to histogram"
             )
-        return dict(Counter(self.q(x) for x in self.elements()))
+        counts = Counter(self.q_numerator(x) for x in self.elements())
+        return {Fraction(k, self.denominator): v for k, v in counts.items()}
 
     def __repr__(self):
         shape = " x ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"
         return f"<FiniteQuadraticForm {shape}>"
 
 
+# about 33 distinct Grams per verify-paper pass, so a pass never evicts its own
+@functools.lru_cache(maxsize=64)
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """Discriminant form of an even nondegenerate lattice via Smith normal form."""
     if not lattice.is_even:
@@ -229,7 +262,7 @@ def enumerate_isotropic_subgroups(form: FiniteQuadraticForm, order: int) -> list
     zero = form.zero()
     if order == 1:
         return [IsotropicSubgroup((), (zero,))]
-    isotropic = sorted(x for x in form.elements() if form.q(x) == 0)
+    isotropic = sorted(x for x in form.elements() if not form.q_numerator(x))
     found: dict[frozenset, list] = {}
 
     def extend(current: frozenset, gens: tuple, start: int) -> None:
@@ -245,7 +278,7 @@ def enumerate_isotropic_subgroups(form: FiniteQuadraticForm, order: int) -> list
             bigger = _closure(form, list(gens) + [x])
             if len(bigger) > order or order % len(bigger) != 0:
                 continue
-            if any(form.q(e) != 0 for e in bigger):
+            if any(form.q_numerator(e) for e in bigger):
                 continue
             extend(bigger, gens + (x,), idx + 1)
 
@@ -266,7 +299,8 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
     """Map induced on A_M by an isometry of the parent lattice.
 
     The matrix acts on column coordinate vectors; it must satisfy
-    g^T G g = G.  Validates that q is preserved on all of A_M.
+    g^T G g = G.  Validates that q is preserved on all of A_M, against q
+    tabulated once per element of the (shared, immutable) form.
     """
     if form.order > _SUBGROUP_SIZE_BOUND:
         raise UnsupportedError("discriminant group too large for an induced-action table")
@@ -282,8 +316,9 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
             if c:
                 image = [a + c * b for a, b in zip(image, img)]
         table[x] = form.reduce(image)
+    q = form.q_numerators
     for x, y in table.items():
-        if form.q(x) != form.q(y):
+        if q[x] != q[y]:
             raise BadInputError("generator fails to preserve q on the discriminant group")
     return table
 
@@ -334,6 +369,8 @@ class Fingerprint:
     q_histogram: tuple[tuple[str, int], ...]
 
 
+# about 12 distinct Grams per verify-paper pass
+@functools.lru_cache(maxsize=32)
 def lattice_fingerprint(lattice: Lattice) -> Fingerprint:
     """(rank, signature, det, parity, disc invariant factors, q histogram)."""
     if lattice.rank == 0:

@@ -8,11 +8,14 @@ diagonal overlattice of N + N (a copy of Gamma16(-1) not generated by its
 roots), together with the explicit half-integer embedding of N + N into the
 coordinate model of Gamma16(-1).  A claim fails where it is computed: ``glue``
 and the embedding raise CheckFailed (``errors.require``) when one does not
-hold, and return only data.
+hold, and return only data.  ``glue`` is memoized on its whole input (the base
+Gram, labels and name, and the glue vectors); an Overlattice is immutable, so
+callers share it, and an error is raised afresh on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,12 +36,26 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlueData:
-    """A base lattice plus rational glue vectors whose classes generate H."""
+    """A base lattice plus rational glue vectors whose classes generate H.
+
+    Two GlueData are equal when the bases agree in Gram, labels and name (a
+    Lattice compares Grams only) and the glue vectors agree, so the memo of
+    ``glue`` hands every caller an Overlattice whose base equals its own.
+    """
 
     base: Lattice
     glue_vectors: tuple[tuple[Fraction, ...], ...]
+
+    def _key(self):
+        return self.base.gram, self.base.labels, self.base.name, self.glue_vectors
+
+    def __eq__(self, other):
+        return isinstance(other, GlueData) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def of(base: Lattice, vectors) -> "GlueData":
@@ -63,6 +80,8 @@ class Overlattice:
     glue_order: int
 
 
+# about 12 distinct inputs per verify-paper pass
+@functools.lru_cache(maxsize=32)
 def glue(data: GlueData) -> Overlattice:
     """Even overlattice generated by the base and the glue vectors.
 
@@ -87,7 +106,7 @@ def glue(data: GlueData) -> Overlattice:
     classes = [form.element_of(list(v)) for v in data.glue_vectors]
     subgroup = _closure(form, classes)
     for elem in sorted(subgroup):
-        if form.q(elem) != 0:
+        if form.q_numerator(elem):
             raise NonIsotropicGlueError(
                 f"glue subgroup is not isotropic: q{elem} = {form.q(elem)} != 0 mod 2Z"
             )

@@ -161,10 +161,18 @@ def e8(twist: int = 1) -> Lattice:
     return Lattice(g, tuple(f"a{i}" for i in range(1, 9)), "E8").twist(twist)
 
 
+#: largest n for A_n.  A root lattice in a K3 lattice has rank at most 19; at
+#: n = 32 every CLI request on A_n ends within ~0.8 s of CPU (the slowest is a
+#: short-vector search stopped by its node bound), while A_400 took 10 s to build.
+_A_N_BOUND = 32
+
+
 def a_n(n: int, twist: int = 1) -> Lattice:
-    """A_n root lattice (tridiagonal Cartan matrix, det n+1)."""
+    """A_n root lattice (tridiagonal Cartan matrix, det n+1), 1 <= n <= _A_N_BOUND."""
     if n < 1:
         raise BadInputError("A_n needs n >= 1")
+    if n > _A_N_BOUND:
+        raise UnsupportedError(f"A_{n}: n is past the bound {_A_N_BOUND}")
     g = [[0] * n for _ in range(n)]
     for i in range(n):
         g[i][i] = 2

@@ -343,12 +343,13 @@ def check_property_suites() -> dict:
         form = discriminant_form(lat)
         if form.order > 64:
             continue
-        q = {x: form.q(x) for x in form.elements()}  # q once per element, b once per pair
+        q = form.q_numerators  # numerators over form.denominator; b once per pair
+        mod = 2 * form.denominator
         bad = [(x, y) for x in q for y in q
-               if (q[form.add(x, y)] - q[x] - q[y]) % 2 != (2 * form.b(x, y)) % 2]
+               if (q[form.add(x, y)] - q[x] - q[y] - 2 * form.b_numerator(x, y)) % mod]
         require(not bad, f"polarization fails on {bad[:1]} in {lat}")
         pairs_checked += len(q) ** 2
-        bad = [x for x in q if q[form.scale(3, x)] != (9 * q[x]) % 2]
+        bad = [x for x in q if (q[form.scale(3, x)] - 9 * q[x]) % mod]
         require(not bad, f"q(3x) != 9 q(x) for x in {bad[:1]} in {lat}")
     from math import comb
 

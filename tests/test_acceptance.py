@@ -18,6 +18,7 @@ import pytest
 import k3lat
 from k3lat import nsfamilies, verify
 from k3lat.cli import run
+from k3lat.discforms import FiniteQuadraticForm
 from k3lat.elliptic import RatPoly, WeierstrassFibration
 from k3lat.errors import K3LatError
 from k3lat.nsfamilies import EigenspaceReport
@@ -56,25 +57,36 @@ def _zero_table(two_d, variant="plain"):
     return EigenspaceReport(0, 0, 0, 0)
 
 
+_b_numerator = FiniteQuadraticForm.b_numerator
+
+
+def _b_plus_one(form, x, y):
+    return _b_numerator(form, x, y) + 1
+
+
+def _wrong_glue_vector(d):
+    return (1, 0, 0, 0, 0, 0, 0, 0)
+
+
 @pytest.mark.parametrize(
-    "module, name, replacement, failing, code",
+    "module, name, replacement, failing, code, warm",
     [
         # criteria 6 and 11 both build the tilde families from this vector
-        (
-            nsfamilies,
-            "canonical_glue_vector",
-            lambda d: (1, 0, 0, 0, 0, 0, 0, 0),
-            [6, 11],
-            "bad_input",
-        ),
-        (verify, "_random_weierstrass", _sixteen_gon, [9], "unsupported"),
-        (verify, "eigenspace_dimensions", _zero_table, [8], "check_failed"),
+        (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 11], "bad_input", False),
+        (verify, "_random_weierstrass", _sixteen_gon, [9], "unsupported", False),
+        (verify, "eigenspace_dimensions", _zero_table, [8], "check_failed", False),
+        # after a full pass has filled every memo, the patch still reaches glue
+        (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 11], "bad_input", True),
+        # criterion 11 checks q against b on integer numerators
+        (FiniteQuadraticForm, "b_numerator", _b_plus_one, [11], "check_failed", True),
     ],
-    ids=["glue-vector", "i16-pair", "eigenspace-table"],
+    ids=["glue-vector", "i16-pair", "eigenspace-table", "glue-vector-warm", "b-numerator"],
 )
 def test_domain_error_fails_only_its_criteria(
-    monkeypatch, module, name, replacement, failing, code
+    monkeypatch, module, name, replacement, failing, code, warm
 ):
+    if warm:
+        assert all(r.passed for r in verify.run_all(DEFAULT_SEED))
     monkeypatch.setattr(module, name, replacement)
     results = verify.run_all(DEFAULT_SEED)
     assert [r.number for r in results] == [n for n, _, _ in CRITERIA]

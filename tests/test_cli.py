@@ -416,3 +416,24 @@ def test_short_vector_search_past_its_node_bound_is_unsupported(capsys):
             assert error["code"] == "unsupported" and captured.out == ""
             message = error["message"]
         assert "visited 200001 nodes, past the bound 200000" in message
+
+
+def test_a_n_past_its_bound_is_unsupported(capsys):
+    # the Gram of A_n is n x n; A_400 took 10 s to build before the bound
+    assert run(["lattice", "info", "--std", "An", "--param", "32"]).status == "ok"
+    argv = ["lattice", "info", "--std", "An", "--param", "33"]
+    for prefix in ([], ["--json"]):
+        start = time.process_time()
+        code = main(prefix + argv)
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        if prefix:
+            error = json.loads(captured.out)
+            assert error["error_code"] == "unsupported" and captured.err == ""
+            message = error["diagnostics"][0]
+        else:
+            error = json.loads(captured.err)
+            assert error["code"] == "unsupported" and captured.out == ""
+            message = error["message"]
+        assert message == "A_33: n is past the bound 32"

@@ -20,6 +20,7 @@ from k3lat import (
     qK_on_U2_cubed,
     rank_one,
 )
+from k3lat.discforms import action_on_disc
 from k3lat.lattice import Lattice
 
 F = Fraction
@@ -204,3 +205,38 @@ def test_orbits_refine_q_level_sets():
     for orbit in orbits:
         values = {form.q(x) for x in orbit}
         assert len(values) == 1
+
+
+def test_action_table_entry_with_the_wrong_q_is_rejected(monkeypatch):
+    # A_U(2) = (Z/2)^2 has q = 0 at (0, 0) and q = 1 at (1, 1); with reduce
+    # patched, the identity's table sends (1, 1) to (0, 0) and nothing else moves
+    form = discriminant_form(hyperbolic_plane(2))
+    ident = [[1, 0], [0, 1]]
+    assert (form.q((0, 0)), form.q((1, 1))) == (0, 1)
+    assert action_on_disc(form, ident)[(1, 1)] == (1, 1)
+    reduce = form.reduce
+    monkeypatch.setattr(form, "reduce", lambda c: (0, 0) if reduce(c) == (1, 1) else reduce(c))
+    with pytest.raises(BadInputError, match="fails to preserve q"):
+        action_on_disc(form, ident)
+
+
+def test_q_and_b_are_their_numerators_over_one_denominator():
+    for lat in [hyperbolic_plane(2), nikulin(), a_n(4), rank_one(12), e8(-2)]:
+        form = discriminant_form(lat)
+        den = form.denominator
+        for x in form.elements():
+            assert 0 <= form.q_numerator(x) < 2 * den
+            assert form.q(x) == F(form.q_numerator(x), den)
+            y = form.scale(5, x)
+            assert 0 <= form.b_numerator(x, y) < den
+            assert form.b(x, y) == F(form.b_numerator(x, y), den)
+
+
+def test_discriminant_form_is_shared_per_gram():
+    gram = nikulin().gram
+    first, second = Lattice(gram, name="one"), Lattice(gram, name="two")
+    assert discriminant_form(first) is discriminant_form(second)
+    # everything the form keeps is immutable
+    form = discriminant_form(first)
+    for attr in ("invariant_factors", "generators", "_coordinates", "_scaled", "_pair"):
+        assert isinstance(getattr(form, attr), tuple)

@@ -31,7 +31,7 @@ from k3lat.gluing import (
     u2cubed_nikulin_glue_vectors,
     verification_block,
 )
-from k3lat.lattice import nikulin_node_coords
+from k3lat.lattice import Lattice, nikulin_node_coords
 
 F = Fraction
 
@@ -71,6 +71,20 @@ def test_trivial_glue_returns_base():
     over = glue(GlueData.of(base, []))
     assert over.lattice.gram == base.gram
     assert over.glue_order == 1
+
+
+def test_glue_memo_gives_each_caller_its_own_base():
+    # Lattice compares Grams only; the memo of glue also keys on labels and name
+    gram = hyperbolic_plane(2).gram
+    bases = [Lattice(gram, ("e", "f"), "one"), Lattice(gram, ("e", "f"), "two"),
+             Lattice(gram, ("x", "y"), "one")]
+    assert bases[0] == bases[1] == bases[2]
+    vectors = [[F(1, 2), 0]]
+    overs = [glue(GlueData.of(base, vectors)) for base in bases]
+    for base, over in zip(bases, overs):
+        assert (over.base.name, over.base.labels) == (base.name, base.labels)
+    assert glue(GlueData.of(Lattice(gram, ("e", "f"), "one"), vectors)) is overs[0]
+    assert overs[0].lattice.gram == ((0, 1), (1, 0))
 
 
 def test_non_isotropic_glue_reports_element():
