@@ -35,7 +35,6 @@ from .lattice import (
     minus_one_sum,
     nikulin,
     nikulin_node_coords,
-    nikulin_permutation_matrix,
     orthogonal_complement,
     rank_one,
     root_span_index,

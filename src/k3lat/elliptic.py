@@ -174,10 +174,6 @@ class RatPoly:
             a, b = b, _primitive(r)
         return RatPoly(a).monic()
 
-    def primitive_normalized(self) -> "RatPoly":
-        """Integer-primitive representative with positive leading coefficient."""
-        return RatPoly(_primitive(_integer_coeffs(self)))
-
     def coeff_strings(self) -> list[str]:
         return [decimal(c) for c in self.coeffs]
 
@@ -250,17 +246,6 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     back = (p * product.leading() - product * p.leading()).is_zero
     require(back, f"the factors of a degree-{p.degree} polynomial do not multiply back to it")
     return out
-
-
-def squarefree_part(p: RatPoly) -> RatPoly:
-    """p / gcd(p, p'), monic: the product of p's Yun factors."""
-    if p.is_zero:
-        raise BadInputError("zero polynomial")
-    prim = _primitive(_integer_coeffs(p))
-    out = RatPoly([1])
-    for a, _ in polyfactor.squarefree_decomposition(prim):
-        out = out * RatPoly(a)
-    return out.monic()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 A lattice is a free Z-module of finite rank with a symmetric integer Gram
 matrix.  All invariants (determinant, signature, parity) are computed exactly.
-Short-vector enumeration is Fincke-Pohst: a rational Cholesky (LDL^T)
-decomposition, computed once and scaled once to integer rows over a common
-denominator, bounds each coordinate through integer square roots and integer
-floor/ceil, so results are complete and deterministic.
+One fraction-free symmetric elimination of the Gram matrix
+(``linalg.signature_of_symmetric``) gives both the determinant and the
+signature.  Short-vector enumeration is Fincke-Pohst: the same elimination of
+the positive definite -gram writes the norm as a sum of integer squares over
+integer weights, which bounds each coordinate through integer square roots
+and integer floor/ceil, so results are complete and deterministic.
 
 Values are immutable after construction and every operation is pure, so
 concurrent reads are safe.
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .errors import (
     BadInputError,
@@ -53,9 +55,10 @@ class Lattice:
             raise BadInputError("gram matrix must be square")
         if not linalg.is_symmetric(rows):
             raise BadInputError("gram matrix must be symmetric")
-        determinant = linalg.bareiss_determinant(rows)
-        if determinant == 0:
-            raise DegenerateGramError("gram matrix is degenerate")
+        try:
+            pos, neg, pivots = linalg.signature_of_symmetric(rows)
+        except DegenerateGramError as exc:
+            raise DegenerateGramError("gram matrix is degenerate") from exc
         if labels is not None:
             try:
                 labels = tuple(str(x) for x in labels)
@@ -64,7 +67,8 @@ class Lattice:
             if len(labels) != n:
                 raise BadInputError("need one basis label per row")
         self.gram = tuple(tuple(row) for row in rows)
-        self.determinant = determinant
+        self.determinant = pivots[-1][0] if pivots else 1
+        self.signature = Signature(pos, neg)
         self.labels = labels
         self.name = name
 
@@ -74,13 +78,6 @@ class Lattice:
 
     def gram_rows(self) -> list[list[int]]:
         return [list(row) for row in self.gram]
-
-    @cached_property
-    def signature(self) -> Signature:
-        if self.rank == 0:
-            return Signature(0, 0)
-        pos, neg = linalg.signature_of_symmetric(self.gram_rows())
-        return Signature(pos, neg)
 
     @property
     def is_even(self) -> bool:
@@ -162,8 +159,8 @@ def e8(twist: int = 1) -> Lattice:
 
 
 #: largest n for A_n.  A root lattice in a K3 lattice has rank at most 19; at
-#: n = 32 every CLI request on A_n ends within ~0.8 s of CPU (the slowest is a
-#: short-vector search stopped by its node bound), while A_400 took 10 s to build.
+#: n = 32 every CLI request on A_n ends within ~0.5 s of CPU (the slowest is a
+#: short-vector search stopped by its term bound), while A_400 took 10 s to build.
 _A_N_BOUND = 32
 
 
@@ -217,21 +214,6 @@ def nikulin_node_coords(i: int) -> list[int]:
     return nikulin_n8_coords()
 
 
-def nikulin_permutation_matrix(perm) -> list[list[int]]:
-    """Isometry of N induced by a permutation of the eight nodal classes.
-
-    ``perm`` maps old index to new: N_i -> N_{perm[i-1]} (1-based values).
-    Nhat is fixed.  Returned matrix acts on column coordinate vectors in the
-    integral basis {N_1..N_7, Nhat}.
-    """
-    images = []
-    for i in range(1, 8):
-        images.append(nikulin_node_coords(perm[i - 1]))
-    # Nhat maps to (sum of images)/2 = Nhat since perm only reorders the sum.
-    images.append([0] * 7 + [1])
-    return linalg.transpose(images)
-
-
 def minus_one_sum(n: int = 8) -> Lattice:
     """<-1>^n, labelled E1..En (exceptional classes)."""
     g = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -272,11 +254,6 @@ def _gamma16_doubled_basis() -> list[list[int]]:
     vecs.append(v)  # e_15 + e_16
     vecs.append([1] * 16)  # half-sum glue vector
     return vecs
-
-
-def gamma16_basis_vectors() -> list[list[Fraction]]:
-    """Basis of Gamma16 as rational vectors in the standard Q^16."""
-    return [[Fraction(c, 2) for c in v] for v in _gamma16_doubled_basis()]
 
 
 def gamma16(twist: int = 1) -> Lattice:
@@ -443,58 +420,51 @@ def sublattice_index(lattice: Lattice, vectors) -> int:
 # short vector enumeration
 
 
-#: search nodes (coordinate prefixes tried) after which a short-vector search
-#: raises UnsupportedError instead of running on: ~0.6 s of search.  The
-#: largest search in the tests, Gamma16(-1) at norm -4, visits 148,476 nodes;
-#: verify-paper and the benchmarks stay under 4,000.
-_SHORT_VECTOR_NODE_BOUND = 200_000
+#: coordinate terms after which a short-vector search raises UnsupportedError
+#: instead of running on.  A search node at coordinate i counts the n - i
+#: coordinates x_i..x_{n-1} its bound depends on, so the bound is ~0.4-0.6 s of
+#: search at every rank from 16 to 100, though a node's cost grows with the
+#: rank.  The largest search in the tests, Gamma16(-1) at norm -4, sums
+#: 2,078,462 terms; verify-paper and the benchmarks stay under 41,000.
+_SHORT_VECTOR_TERM_BOUND = 3_000_000
 
 
 def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ...]]:
     """All v with v.v = norm in a negative definite lattice, lex ordered.
 
     norm must be a negative even integer.  The list contains v and -v
-    together; completeness comes from exact Fincke-Pohst style bounds on a
-    rational Cholesky decomposition of the positive form -gram, scaled once
-    to integers so the search itself runs on ints.  A search that would visit
-    more than _SHORT_VECTOR_NODE_BOUND nodes raises UnsupportedError.
+    together; completeness comes from exact Fincke-Pohst style bounds read
+    off the fraction-free pivot rows of the positive form -gram, so the
+    search runs on ints.  A search that would sum more than
+    _SHORT_VECTOR_TERM_BOUND coordinate terms raises UnsupportedError.
     """
     if not lattice.is_negative_definite:
         raise NotDefiniteError("short vector enumeration needs a negative definite lattice")
     if norm >= 0 or norm % 2 != 0:
         raise BadInputError("norm must be a negative even integer")
     n = lattice.rank
-    q = [[Fraction(-x) for x in row] for row in lattice.gram_rows()]
-    # Fincke-Pohst preprocessing: q[i][i] and q[i][j] (j>i) describe
-    # Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2.
-    for i in range(n):
-        piv = q[i][i]
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / piv
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    # Integer scaling: with den_i the common denominator of row i, a_ij =
-    # den_i q_ij and S the common denominator of the q_ii / den_i^2,
-    # S Q(x) = sum_i c_i (den_i x_i + sum_{j>i} a_ij x_j)^2, c_i = S q_ii / den_i^2.
-    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    coef = [[int(q[i][j] * dens[i]) for j in range(i + 1, n)] for i in range(n)]
-    weights = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
-    scale = math.lcm(*(w.denominator for w in weights))
-    cs = [int(w * scale) for w in weights]
+    # -gram is positive definite, so its elimination never pivots and every
+    # pivot D_{i+1} = dens[i] is positive.  With S the lcm of the D_i D_{i+1}
+    # and c_i = S / (D_i D_{i+1}),
+    # S (-v.v) = sum_i c_i (D_{i+1} x_i + sum_{j>i} a_ij x_j)^2.
+    _, _, pivots = linalg.signature_of_symmetric([[-x for x in row] for row in lattice.gram])
+    dens = [row[0] for row in pivots]
+    coef = [row[1:] for row in pivots]
+    products = [d * e for d, e in zip([1] + dens, dens)]
+    scale = math.lcm(*products)
+    cs = [scale // p for p in products]
     results: list[tuple[int, ...]] = []
     x = [0] * n
-    nodes = 0
+    terms = 0
 
     def descend(i: int, remaining: int, shift: int) -> None:
         # shift = sum_{j>i} a_ij x_j, set by the caller
-        nonlocal nodes
-        nodes += 1
-        if nodes > _SHORT_VECTOR_NODE_BOUND:
+        nonlocal terms
+        terms += n - i
+        if terms > _SHORT_VECTOR_TERM_BOUND:
             raise UnsupportedError(
-                f"vectors of norm {norm} in a rank-{n} lattice: the search visited "
-                f"{nodes} nodes, past the bound {_SHORT_VECTOR_NODE_BOUND}"
+                f"vectors of norm {norm} in a rank-{n} lattice: the search summed "
+                f"{terms} coordinate terms, past the bound {_SHORT_VECTOR_TERM_BOUND}"
             )
         den, c = dens[i], cs[i]
         # |den x_i + shift| <= t  <=>  c (den x_i + shift)^2 <= remaining

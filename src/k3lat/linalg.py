@@ -3,10 +3,13 @@
 Everything here works on plain lists of Python ints or ``Fraction``s, so all
 results are exact for arbitrary magnitudes.  Matrices are row-major lists of
 rows; a "vector" is a flat list of coordinates.  No floating point is used
-anywhere in the package.  The kernels run on ints: determinants and
-signatures by fraction-free (Bareiss) elimination, whose divisions are exact,
-Hermite and Smith normal forms by integer row and column operations.  Only
-``rational_inverse`` works over Q.
+anywhere in the package.  The kernels run on ints: one fraction-free
+symmetric (Bareiss) elimination gives a Gram matrix's signature, its
+determinant (the last pivot) and the pivot rows that bound the short-vector
+search; the general Bareiss determinant serves non-symmetric coordinate
+matrices; Hermite and Smith normal forms use integer row and column
+operations.  Every Bareiss division is exact.  Only ``rational_inverse``
+works over Q.
 """
 
 from __future__ import annotations
@@ -279,17 +282,22 @@ def integer_kernel(mat) -> list[list[int]]:
     return [[v[row][col] for row in range(n)] for col in range(rank, n)]
 
 
-def signature_of_symmetric(gram) -> tuple[int, int]:
-    """Counts of positive and negative pivots of a symmetric integer matrix.
+def signature_of_symmetric(gram) -> tuple[int, int, IntMatrix]:
+    """Signature and fraction-free pivot rows of a symmetric integer matrix.
 
-    Fraction-free symmetric Bareiss elimination (Bareiss, Math. Comp. 22,
-    1968): after step i every entry (r, c) of the trailing block is the minor
-    of the rows 0..i, r and the columns 0..i, c, so each division by the
-    previous pivot is exact, and it is checked to be.  The pivot D_{i+1} of
-    step i is a leading principal minor; the LDL^T pivot D_{i+1}/D_i has the
-    sign sign(D_{i+1}) sign(D_i), and Sylvester's law of inertia counts those
-    signs.  When the trailing diagonal is all zero, a row and column with a
-    nonzero off-diagonal entry a_kl is added to row and column k, a
+    Returns (pos, neg, rows).  Fraction-free symmetric Bareiss elimination
+    (Bareiss, Math. Comp. 22, 1968): after step i every entry (r, c) of the
+    trailing block is the minor of the rows 0..i, r and the columns 0..i, c,
+    so each division by the previous pivot is exact, and it is checked to be.
+    rows[i] is entries i..n-1 of step i's row: rows[i][0] is the pivot
+    D_{i+1}, a leading principal minor, and rows[i][c - i] = a_ic.  The row
+    and column swaps and the pair trick below are unimodular congruences, so
+    the last pivot rows[-1][0] is det(gram).  The LDL^T pivot D_{i+1}/D_i has
+    the sign sign(D_{i+1}) sign(D_i), and Sylvester's law of inertia counts
+    those signs.  When no pivoting happens (a definite form, for one), the
+    rows give x.gram.x = sum_i (D_{i+1} x_i + sum_{c>i} a_ic x_c)^2 / (D_i D_{i+1})
+    with D_0 = 1.  When the trailing diagonal is all zero, a row and column
+    with a nonzero off-diagonal entry a_kl is added to row and column k, a
     congruence that makes the new a_kk = 2 a_kl nonzero.  Raises
     DegenerateGramError on a degenerate form.
     """
@@ -298,7 +306,7 @@ def signature_of_symmetric(gram) -> tuple[int, int]:
     pos = neg = 0
     prev = 1
     for i in range(n):
-        piv = next((k for k in range(i, n) if a[k][k] != 0), None)
+        piv = i if a[i][i] else next((k for k in range(i, n) if a[k][k] != 0), None)
         if piv is None:
             pair = next(
                 ((k, l) for k in range(i, n) for l in range(k + 1, n) if a[k][l] != 0),
@@ -333,6 +341,7 @@ def signature_of_symmetric(gram) -> tuple[int, int]:
                 if rem:
                     inexact.append((r, c))
                 a[c][r] = row[c]
-        require(not inexact, f"Bareiss division by {prev} is inexact at {inexact[:3]}")
+        if inexact:  # the message is formatted only on failure: this runs at every pivot
+            require(False, f"Bareiss division by {prev} is inexact at {inexact[:3]}")
         prev = p
-    return pos, neg
+    return pos, neg, [a[i][i:] for i in range(n)]

@@ -229,17 +229,9 @@ def eigenspace_dimensions(two_d: int, variant: str = "plain") -> EigenspaceRepor
 # invariant monomial counting and moduli dimensions
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _monomials(num_vars: int, degree: int) -> int:
+    """Number of monomials of a given degree in num_vars variables."""
+    return math.comb(num_vars + degree - 1, degree) if num_vars else int(degree == 0)
 
 
 def count_invariant_monomials(
@@ -248,7 +240,12 @@ def count_invariant_monomials(
     degree: int,
     parity: str = "invariant",
 ) -> int:
-    """Count degree-d monomials with even (or odd) total degree in the negated variables."""
+    """Count degree-d monomials with even (or odd) total degree in the negated variables.
+
+    A monomial splits into one of degree j in the k negated variables and one
+    of degree d - j in the other n - k, so the count is the sum over j of the
+    wanted parity of C(k + j - 1, j) C(n - k + d - j - 1, d - j).
+    """
     if degree < 0:
         raise BadInputError("degree must be nonnegative")
     if parity not in ("invariant", "anti_invariant"):
@@ -256,13 +253,11 @@ def count_invariant_monomials(
     negated = set(negated)
     if any(i < 0 or i >= num_vars for i in negated):
         raise BadInputError("negated indices out of range")
-    want_odd = parity == "anti_invariant"
-    count = 0
-    for expo in _compositions(degree, num_vars):
-        neg_degree = sum(expo[i] for i in negated)
-        if (neg_degree % 2 == 1) == want_odd:
-            count += 1
-    return count
+    k = len(negated)
+    return sum(
+        _monomials(k, j) * _monomials(num_vars - k, degree - j)
+        for j in range(int(parity == "anti_invariant"), degree + 1, 2)
+    )
 
 
 _MODULI_EXAMPLES = ("M2", "M6", "M4", "M4tilde", "M8", "M8tilde")

@@ -8,7 +8,7 @@ import pytest
 from k3lat import polyfactor
 from k3lat.cli import build_parser, main, run
 from k3lat.gluing import u2cubed_nikulin_base, u2cubed_nikulin_glue_vectors
-from k3lat.lattice import Lattice
+from k3lat.lattice import Lattice, direct_sum, e8
 
 
 def _ok(argv):
@@ -397,10 +397,33 @@ def test_parser_builds():
     build_parser()
 
 
-def test_short_vector_search_past_its_node_bound_is_unsupported(capsys):
-    # Gamma16(-1) has 480 sigma_7(4) = 7,926,240 vectors of norm -8; the
-    # search stops at the node bound (~0.6 s) instead of running for minutes
-    argv = ["lattice", "roots", "--std", "Gamma16", "--twist", "-1", "--norm", "-8"]
+@pytest.mark.parametrize(
+    "source, norm, message",
+    [
+        # Gamma16(-1) has 480 sigma_7(4) = 7,926,240 vectors of norm -8
+        (
+            ["--std", "Gamma16", "--twist", "-1"], "-8",
+            "vectors of norm -8 in a rank-16 lattice: the search summed 3000008 "
+            "coordinate terms, past the bound 3000000",
+        ),
+        # E8(-1)^8 from a file: at rank 64 a node sums four times the terms it does at rank 16
+        (
+            ["--file", "E8^8"], "-4",
+            "vectors of norm -4 in a rank-64 lattice: the search summed 3000032 "
+            "coordinate terms, past the bound 3000000",
+        ),
+    ],
+    ids=["Gamma16", "rank64-file"],
+)
+def test_short_vector_search_past_its_term_bound_is_unsupported(
+    capsys, tmp_path, source, norm, message
+):
+    # the search stops at the term bound (~0.5 s at every rank) instead of
+    # running for minutes
+    path = tmp_path / "e8_8.json"
+    path.write_text(json.dumps({"gram": direct_sum([e8(-1)] * 8).gram_rows()}))
+    source = [str(path) if a == "E8^8" else a for a in source]
+    argv = ["lattice", "roots"] + source + ["--norm", norm]
     for prefix in ([], ["--json"]):
         start = time.process_time()
         code = main(prefix + argv)
@@ -410,12 +433,12 @@ def test_short_vector_search_past_its_node_bound_is_unsupported(capsys):
         if prefix:
             error = json.loads(captured.out)
             assert error["error_code"] == "unsupported" and captured.err == ""
-            message = error["diagnostics"][0]
+            got = error["diagnostics"][0]
         else:
             error = json.loads(captured.err)
             assert error["code"] == "unsupported" and captured.out == ""
-            message = error["message"]
-        assert "visited 200001 nodes, past the bound 200000" in message
+            got = error["message"]
+        assert got == message
 
 
 def test_a_n_past_its_bound_is_unsupported(capsys):

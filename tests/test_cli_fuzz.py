@@ -6,7 +6,7 @@ documents: lattice-shaped (with or without glue vectors) or arbitrary.  Whatever
 input, ``cli.main`` must return 0, 1, 2 or 3 without raising.  An error goes
 out as one JSON object: the ``--json`` envelope on stdout, or the plain error
 object on stderr (after argparse's usage text when the argv does not parse).
-The short-vector node bound is lowered for the run, so a drawn norm search
+The short-vector term bound is lowered for the run, so a drawn norm search
 ends in ``unsupported`` quickly instead of using up the time.
 """
 
@@ -114,8 +114,8 @@ def _run(argv):
 @settings(max_examples=200, deadline=None)
 def test_every_invocation_ends_in_an_exit_code_and_one_json_error(case):
     argv, doc = case
-    bound = lattice._SHORT_VECTOR_NODE_BOUND
-    lattice._SHORT_VECTOR_NODE_BOUND = 2_000
+    bound = lattice._SHORT_VECTOR_TERM_BOUND
+    lattice._SHORT_VECTOR_TERM_BOUND = 30_000
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "input.json")
@@ -124,7 +124,7 @@ def test_every_invocation_ends_in_an_exit_code_and_one_json_error(case):
             argv = [path if a == "FILE" else a for a in argv]
             code, out, err = _run(argv)
     finally:
-        lattice._SHORT_VECTOR_NODE_BOUND = bound
+        lattice._SHORT_VECTOR_TERM_BOUND = bound
     assert code in (0, 1, 2, 3)
     if code == 2:  # argparse's usage text, then the JSON error
         error = json.loads(err.splitlines()[-1])

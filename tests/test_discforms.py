@@ -15,13 +15,13 @@ from k3lat import (
     enumerate_isotropic_subgroups,
     hyperbolic_plane,
     nikulin,
-    nikulin_permutation_matrix,
     orbits_under_generators,
     qK_on_U2_cubed,
     rank_one,
 )
 from k3lat.discforms import action_on_disc
 from k3lat.lattice import Lattice
+from oracles import nikulin_permutation_matrix
 
 F = Fraction
 

@@ -30,8 +30,8 @@ from k3lat.elliptic import (
     _cycle_gram,
     irreducible_factors,
     parse_fiber_list,
-    squarefree_part,
 )
+from oracles import squarefree_part
 
 F = Fraction
 

@@ -4,8 +4,8 @@ signatures, the Gamma16 model and polynomial gcds.
 Expected values come from outside the code under test: a Fraction oracle built
 here from the generator lifts and the Gram matrix, the class of the image of
 every lift, theta-series coefficients, brute-force box enumeration, the
-inverse of the overlattice basis, Fraction LDL^T elimination, Fraction dot
-products and Euclid over Fractions.
+inverse of the overlattice basis, Fraction LDL^T elimination, the rational
+Cholesky short-vector search, Fraction dot products and Euclid over Fractions.
 """
 
 import itertools
@@ -23,6 +23,7 @@ from k3lat import (
     GlueData,
     NonIsotropicGlueError,
     NotDualVectorError,
+    UnsupportedError,
     a_n,
     direct_sum,
     discriminant_form,
@@ -33,13 +34,13 @@ from k3lat import (
     glue,
     hyperbolic_plane,
     nikulin,
-    nikulin_permutation_matrix,
     rank_one,
 )
-from k3lat import linalg, polyfactor
+from k3lat import lattice, linalg, polyfactor
 from k3lat.discforms import action_on_disc
 from k3lat.elliptic import RatPoly
-from k3lat.lattice import Lattice, gamma16_basis_vectors
+from k3lat.lattice import Lattice
+from oracles import gamma16_basis_vectors, nikulin_permutation_matrix
 
 TWISTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
@@ -203,6 +204,112 @@ def test_random_definite_forms_match_box_enumeration(basis, norm):
     assert enumerate_vectors_of_norm(lat, norm) == expected
 
 
+class _PastCap(Exception):
+    pass
+
+
+def _fraction_cholesky_search(gram, norm, cap):
+    """(vectors, terms) of norm ``norm`` by the rational Cholesky preprocessing.
+
+    Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2 for Q = -gram, scaled to
+    integer rows over each row's common denominator; the search counts terms
+    as enumerate_vectors_of_norm does.  None when it would sum more than cap.
+    """
+    n = len(gram)
+    q = [[Fraction(-x) for x in row] for row in gram]
+    for i in range(n):
+        piv = q[i][i]
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / piv
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= q[k][i] * q[i][l]
+    dens = [math.lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    coef = [[int(q[i][j] * dens[i]) for j in range(i + 1, n)] for i in range(n)]
+    weights = [q[i][i] / (dens[i] * dens[i]) for i in range(n)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    cs = [int(w * scale) for w in weights]
+    found, x, terms = [], [0] * n, 0
+
+    def descend(i, remaining, shift):
+        nonlocal terms
+        terms += n - i
+        if terms > cap:
+            raise _PastCap
+        den, c = dens[i], cs[i]
+        t = math.isqrt(remaining // c)
+        if i == 0:
+            if c * t * t == remaining:
+                for y in (-t, t) if t else (0,):
+                    if (y - shift) % den == 0:
+                        x[0] = (y - shift) // den
+                        found.append(tuple(x))
+                x[0] = 0
+            return
+        below = coef[i - 1]
+        rest = sum(a * xj for a, xj in zip(below[1:], x[i + 1:]))
+        for xi in range(-((t + shift) // den), (t - shift) // den + 1):
+            x[i] = xi
+            y = den * xi + shift
+            descend(i - 1, remaining - c * y * y, rest + below[0] * xi)
+        x[i] = 0
+
+    try:
+        descend(n - 1, -norm * scale, 0)
+    except _PastCap:
+        return None
+    return sorted(v for v in found if any(v)), terms
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.sampled_from([-2, -4, -6, -8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_search_matches_the_fraction_cholesky_oracle(basis, norm):
+    # the pivot rows describe the same real intervals as the rational
+    # Cholesky bounds, so the search finds the same vectors after the same
+    # number of terms: it completes at that bound and stops one below it
+    assume(linalg.bareiss_determinant(basis) != 0)
+    n = len(basis)
+    gram = [[-sum(r[i] * r[j] for r in basis) for j in range(n)] for i in range(n)]
+    oracle = _fraction_cholesky_search(gram, norm, 100_000)
+    assume(oracle is not None)
+    vectors, terms = oracle
+    lat = Lattice(gram)
+    bound = lattice._SHORT_VECTOR_TERM_BOUND
+    try:
+        lattice._SHORT_VECTOR_TERM_BOUND = terms
+        assert enumerate_vectors_of_norm(lat, norm) == vectors
+        lattice._SHORT_VECTOR_TERM_BOUND = terms - 1
+        with pytest.raises(UnsupportedError):
+            enumerate_vectors_of_norm(lat, norm)
+    finally:
+        lattice._SHORT_VECTOR_TERM_BOUND = bound
+
+
+#: coordinate terms the Gamma16(-1) search at norm -4 sums, the largest search
+#: in the tests
+_GAMMA16_NORM_FOUR_TERMS = 2_078_462
+
+
+@pytest.mark.parametrize("bound, completes", [(_GAMMA16_NORM_FOUR_TERMS, True),
+                                              (_GAMMA16_NORM_FOUR_TERMS - 1, False)])
+def test_gamma16_norm_four_search_sums_a_pinned_number_of_terms(monkeypatch, bound, completes):
+    assert _GAMMA16_NORM_FOUR_TERMS < lattice._SHORT_VECTOR_TERM_BOUND
+    monkeypatch.setattr(lattice, "_SHORT_VECTOR_TERM_BOUND", bound)
+    if completes:
+        assert len(enumerate_vectors_of_norm(gamma16(-1), -4)) == 61920
+    else:
+        with pytest.raises(UnsupportedError):
+            enumerate_vectors_of_norm(gamma16(-1), -4)
+
+
 @st.composite
 def order_two_glue(draw):
     blocks = draw(st.lists(BLOCKS, min_size=1, max_size=3))
@@ -248,11 +355,16 @@ def test_glue_matches_fraction_oracle(case):
     assert linalg.hermite_normal_form(scaled) == scaled
 
 
-def _fraction_ldl_signature(gram):
-    """Symmetric Gaussian elimination over Q: the signature by Fraction pivots."""
+def _fraction_ldl(gram):
+    """Symmetric Gaussian elimination over Q: the signature by Fraction pivots.
+
+    Returns (pos, neg, rows) with rows[i] entries i..n-1 of step i's row, a row
+    of the Schur complement of the leading i x i block.
+    """
     n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     pos = neg = 0
+    rows = []
     for i in range(n):
         piv = next((k for k in range(i, n) if a[k][k] != 0), None)
         if piv is None:
@@ -278,6 +390,7 @@ def _fraction_ldl_signature(gram):
             pos += 1
         else:
             neg += 1
+        rows.append(a[i][i:])
         for r in range(i + 1, n):
             if a[r][i] != 0:
                 f = a[r][i] / p
@@ -285,7 +398,7 @@ def _fraction_ldl_signature(gram):
                     a[r][c] -= f * a[i][c]
         for c in range(i + 1, n):
             a[i][c] = Fraction(0)
-    return pos, neg
+    return pos, neg, rows
 
 
 @st.composite
@@ -305,9 +418,9 @@ def symmetric_matrices(draw):
     return a
 
 
-def _outcome(signature, gram):
+def _outcome(eliminate, gram):
     try:
-        return signature(gram)
+        return eliminate(gram)
     except DegenerateGramError as exc:
         return ("degenerate", str(exc))
 
@@ -321,7 +434,34 @@ def _outcome(signature, gram):
 def test_bareiss_signature_matches_fraction_ldl(gram):
     # every Bareiss division is checked to be exact, so an inexact one would
     # raise CheckFailed here instead of agreeing with the oracle
-    assert _outcome(linalg.signature_of_symmetric, gram) == _outcome(_fraction_ldl_signature, gram)
+    got = _outcome(linalg.signature_of_symmetric, gram)
+    assert got[:2] == _outcome(_fraction_ldl, gram)[:2]
+
+
+@given(symmetric_matrices())
+@example([[0, 1, 0], [1, 0, 0], [0, 0, -3]])
+@example([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])  # definite: no pivoting
+@settings(max_examples=300, deadline=None)
+def test_pivot_rows_give_the_determinant_and_ldl(gram):
+    got = _outcome(linalg.signature_of_symmetric, gram)
+    want = _outcome(_fraction_ldl, gram)
+    if got[0] == "degenerate":
+        assert want[0] == "degenerate" and linalg.bareiss_determinant(gram) == 0
+        return
+    rows, fraction_rows = got[2], want[2]
+    n = len(gram)
+    assert rows[-1][0] == linalg.bareiss_determinant(gram)
+    # Bareiss row i is the Schur complement row times the previous pivot D_i
+    prev = [1] + [row[0] for row in rows[:-1]]
+    assert rows == [[d * x for x in row] for d, row in zip(prev, fraction_rows)]
+    if all(linalg.bareiss_determinant([r[:k] for r in gram[:k]]) for k in range(1, n + 1)):
+        # no pivoting: G = L D L^T with L_ci = a_ic / D_{i+1} and d_i = D_{i+1} / D_i
+        lower = [[Fraction(rows[i][c - i], rows[i][0]) if c >= i else 0 for i in range(n)]
+                 for c in range(n)]
+        d = [Fraction(row[0], p) for row, p in zip(rows, prev)]
+        rebuilt = [[sum(lower[r][i] * d[i] * lower[c][i] for i in range(n)) for c in range(n)]
+                   for r in range(n)]
+        assert rebuilt == gram
 
 
 def test_gamma16_gram_is_the_fraction_dot_products():

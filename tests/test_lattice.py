@@ -25,9 +25,9 @@ from k3lat import (
     standard_lattice,
     sublattice_index,
 )
-from k3lat.lattice import gamma16_basis_vectors
 from k3lat.involution import k3_lattice, swap_involution, invariant_and_antiinvariant
 from fractions import Fraction
+from oracles import gamma16_basis_vectors
 
 
 def test_u_twist_two():

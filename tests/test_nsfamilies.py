@@ -209,6 +209,39 @@ def test_monomial_counts_from_worked_examples():
     assert count_invariant_monomials(6, {4, 5}, 2) == 13
 
 
+def _compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _enumerated_count(num_vars, negated, degree, parity="invariant"):
+    """The count by listing every exponent vector of the given degree."""
+    want_odd = parity == "anti_invariant"
+    return sum(
+        (sum(expo[i] for i in negated) % 2 == 1) == want_odd
+        for expo in _compositions(degree, num_vars)
+    )
+
+
+def test_monomial_counts_match_enumeration():
+    for n in range(0, 7):
+        for d in range(0, 7):
+            for k in range(0, n + 1):
+                negated = set(range(n - k, n))
+                for parity in ("invariant", "anti_invariant"):
+                    assert count_invariant_monomials(n, negated, d, parity) == _enumerated_count(
+                        n, negated, d, parity
+                    ), (n, negated, d, parity)
+
+
 def test_monomial_count_sum_identity():
     from math import comb
 

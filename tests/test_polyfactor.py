@@ -13,11 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import polyfactor
-from k3lat.elliptic import RatPoly, irreducible_factors, squarefree_part
+from k3lat.elliptic import RatPoly, irreducible_factors
 from k3lat.errors import UnsupportedError
+from oracles import squarefree_part
 
 F = Fraction
 _T = sympy.Symbol("t")
+
+
+def _primitive_normalized(coeffs) -> RatPoly:
+    """The integer-primitive multiple of a polynomial with positive leading coefficient."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return RatPoly([c // content for c in ints])
 
 
 def _sympy_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
@@ -27,7 +36,7 @@ def _sympy_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     )
     out = []
     for f, e in poly.factor_list()[1]:
-        rp = RatPoly([F(c.p, c.q) for c in reversed(f.all_coeffs())]).primitive_normalized()
+        rp = _primitive_normalized([F(c.p, c.q) for c in reversed(f.all_coeffs())])
         if rp.degree >= 1:
             out.append((rp, int(e)))
     return sorted(out, key=lambda fe: (fe[0].degree, fe[0].coeffs))
