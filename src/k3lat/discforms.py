@@ -12,6 +12,11 @@ and the checks built on it compare those numerators; ``Fraction``s appear only
 at the API edge, where ``q`` and ``b`` return one canonical Fraction, in [0, 2)
 for q and in [0, 1) for b.
 
+``action_on_disc`` tabulates the map induced by an isometry from the classes
+img_i of the generator images alone: it builds x -> sum_i x_i img_i one
+coordinate at a time, in ``elements()`` order, so each partial sum is shared by
+all the elements that extend it, then reduces every sum and checks q on it.
+
 ``discriminant_form`` and ``lattice_fingerprint`` are memoized on the Gram
 matrix (``Lattice`` compares Grams only): their values are immutable, so
 callers share them, and an error is raised afresh on every call.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,9 +86,10 @@ class FiniteQuadraticForm:
         return tuple(int(c) % d for c, d in zip(coeffs, self.invariant_factors))
 
     def add(self, x: DiscElement, y: DiscElement) -> DiscElement:
-        if len(x) != len(y):
-            raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not lie in one group")
-        return self.reduce([a + b for a, b in zip(x, y)])
+        factors = self.invariant_factors
+        if not len(x) == len(y) == len(factors):
+            raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not both lie in {self}")
+        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
     def neg(self, x: DiscElement) -> DiscElement:
         return self.reduce([-a for a in x])
@@ -154,7 +161,7 @@ class FiniteQuadraticForm:
         total = 0
         for ci, row in zip(x, self._pair):
             if ci:
-                total += ci * sum(cj * p for cj, p in zip(y, row) if cj)
+                total += ci * sum(map(operator.mul, y, row))
         return total % self.denominator
 
     @functools.cached_property
@@ -315,13 +322,13 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
     if not linalg.mat_eq(gtg, gram):
         raise BadInputError("generator is not an isometry of the parent lattice")
     images = [form._class_of_scaled(linalg.mat_vec(matrix, g), form._den) for g in form._scaled]
-    table = {}
-    for x in form.elements():
-        image = [0] * len(x)
-        for c, img in zip(x, images):
-            if c:
-                image = [a + c * b for a, b in zip(image, img)]
-        table[x] = form.reduce(image)
+    # sums[k] is sum_i x_i img_i for the k-th x in elements() order: the last
+    # coordinate varies fastest, so each pass appends one coordinate's multiples
+    sums = [form.zero()]
+    for img, d in zip(images, form.invariant_factors):
+        multiples = [[c * b for b in img] for c in range(d)]
+        sums = [list(map(operator.add, s, m)) for s in sums for m in multiples]
+    table = {x: form.reduce(image) for x, image in zip(form.elements(), sums)}
     q = form.q_numerators
     for x, y in table.items():
         if q[x] != q[y]:

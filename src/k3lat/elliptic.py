@@ -217,6 +217,18 @@ def _primitive(ints: list[int]) -> list[int]:
     return [v // g for v in ints]
 
 
+def _int_poly_mul(a, b) -> list[int]:
+    """Product of two integer coefficient lists, low degree first, canonical."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _coerce(x) -> RatPoly:
     if isinstance(x, RatPoly):
         return x
@@ -231,21 +243,22 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     ``polyfactor.factor`` factors the integer-primitive form of p and caches
     the result.  The multiplied-out factorization is checked against the
     input on every call, cache hits included, so the factorizer is never
-    trusted blindly.
+    trusted blindly: p lc(prod) = prod lc(p), on the integer coefficients of
+    p and with a product of its own, independent of the factorizer's.
     """
     if p.is_zero:
         raise BadInputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    prim = tuple(_primitive(_integer_coeffs(p)))
-    out = [(RatPoly(f), e) for f, e in polyfactor.factor(prim)]
-    product = RatPoly([1])
-    for f, e in out:
+    ints = _integer_coeffs(p)
+    factors = polyfactor.factor(tuple(_primitive(ints)))
+    product = [1]
+    for f, e in factors:
         for _ in range(e):
-            product = product * f
-    back = (p * product.leading() - product * p.leading()).is_zero
+            product = _int_poly_mul(product, f)
+    back = bool(product) and [c * product[-1] for c in ints] == [c * ints[-1] for c in product]
     require(back, f"the factors of a degree-{p.degree} polynomial do not multiply back to it")
-    return out
+    return [(RatPoly(f), e) for f, e in factors]
 
 
 # ---------------------------------------------------------------------------

@@ -226,14 +226,19 @@ class QuotientCohomology:
         return all(c.denominator == 1 for c in coords)
 
     def pull_extended(self, w) -> list[int]:
-        """pull on the whole Y lattice: pull(2w)/2, integral by construction."""
+        """pull on the whole Y lattice: pull(2w)/2, integral by construction.
+
+        The glue group is 2-elementary, so 2w is integral; pull(2w) must then
+        be even.  Both are required, and the arithmetic stays on ints.
+        """
         ws = [Fraction(x) for x in w]
         if not self.contains_in_overlattice(ws):
             raise BadInputError("vector is not in the glued Y-side lattice")
-        doubled = linalg.mat_vec(self.pull_matrix, [2 * x for x in ws])
-        halved = [x / 2 for x in doubled]
-        require(all(x.denominator == 1 for x in halved), f"extended pull of {w} left the lattice")
-        return [int(x) for x in halved]
+        doubled = [2 * x for x in ws]
+        require(all(x.denominator == 1 for x in doubled), f"2 * {w} is not integral")
+        pulled = linalg.mat_vec(self.pull_matrix, [int(x) for x in doubled])
+        require(all(x % 2 == 0 for x in pulled), f"extended pull of {w} left the lattice")
+        return [x // 2 for x in pulled]
 
     # -- verification ---------------------------------------------------------
 

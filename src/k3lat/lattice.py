@@ -4,10 +4,15 @@ A lattice is a free Z-module of finite rank with a symmetric integer Gram
 matrix.  All invariants (determinant, signature, parity) are computed exactly.
 One fraction-free symmetric elimination of the Gram matrix
 (``linalg.signature_of_symmetric``) gives both the determinant and the
-signature.  Short-vector enumeration is Fincke-Pohst: the same elimination of
-the positive definite -gram writes the norm as a sum of integer squares over
-integer weights, which bounds each coordinate through integer square roots
-and integer floor/ceil, so results are complete and deterministic.
+signature, and it runs once per distinct Gram: ``Lattice`` reads the triple
+(pos, neg, det) from a bounded memo keyed on the Gram.  The memo keeps no
+pivot rows and no errors, so a degenerate Gram raises on every call.  A Gram
+of rank past ``_RANK_BOUND`` raises UnsupportedError before it is eliminated,
+which also bounds each memo key.  Short-vector enumeration is Fincke-Pohst:
+the same elimination of the positive definite -gram writes the norm as a sum
+of integer squares over integer weights, which bounds each coordinate through
+integer square roots and integer floor/ceil, so results are complete and
+deterministic.
 
 Values are immutable after construction and every operation is pure, so
 concurrent reads are safe.
@@ -15,11 +20,11 @@ concurrent reads are safe.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .errors import (
     BadInputError,
@@ -41,6 +46,25 @@ class Signature:
         return (self.positive, self.negative)
 
 
+#: largest rank a Gram may have.  A K3 lattice has rank 22 and its blow-up 30;
+#: the largest Gram the package and its tests build is E8(-1)^8 at 64, which
+#: eliminates in ~0.05 s of CPU, and each 16 ranks past it about double that
+#: (0.2 s at 96, 0.6 s at 128, 4.5 s at 200).  It also caps each memo key below.
+_RANK_BOUND = 64
+
+
+# about 83 distinct Grams per verify-paper pass, so a pass never evicts its own
+@functools.lru_cache(maxsize=256)
+def _gram_invariants(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
+    """(pos, neg, det) of a validated symmetric Gram, from one elimination.
+
+    Only this triple is memoized, never the pivot rows.  ``lru_cache`` keeps
+    no exception, so a degenerate Gram raises on every call.
+    """
+    pos, neg, pivots = linalg.signature_of_symmetric(gram)
+    return pos, neg, pivots[-1][0] if pivots else 1
+
+
 class Lattice:
     """Free Z-module with a nondegenerate symmetric integer Gram matrix."""
 
@@ -55,8 +79,11 @@ class Lattice:
             raise BadInputError("gram matrix must be square")
         if not linalg.is_symmetric(rows):
             raise BadInputError("gram matrix must be symmetric")
+        if n > _RANK_BOUND:
+            raise UnsupportedError(f"a rank-{n} gram matrix is past the rank bound {_RANK_BOUND}")
+        gram = tuple(tuple(row) for row in rows)
         try:
-            pos, neg, pivots = linalg.signature_of_symmetric(rows)
+            pos, neg, det = _gram_invariants(gram)
         except DegenerateGramError as exc:
             raise DegenerateGramError("gram matrix is degenerate") from exc
         if labels is not None:
@@ -66,8 +93,8 @@ class Lattice:
                 raise BadInputError("labels must be a list") from exc
             if len(labels) != n:
                 raise BadInputError("need one basis label per row")
-        self.gram = tuple(tuple(row) for row in rows)
-        self.determinant = pivots[-1][0] if pivots else 1
+        self.gram = gram
+        self.determinant = det
         self.signature = Signature(pos, neg)
         self.labels = labels
         self.name = name
@@ -299,7 +326,7 @@ def gamma16_coordinates(x) -> list[int]:
     return [q for q, _ in coords]
 
 
-@cache
+@functools.cache
 def _gamma16_doubled_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
     """(N, den) with N / den the inverse of the matrix whose columns are the doubled basis."""
     inv = linalg.rational_inverse(linalg.transpose(_gamma16_doubled_basis()))

@@ -10,6 +10,13 @@ search; the general Bareiss determinant serves non-symmetric coordinate
 matrices; Hermite and Smith normal forms use integer row and column
 operations.  Every Bareiss division is exact.  Only ``rational_inverse``
 works over Q.
+
+The products (``mat_mul``, ``mat_vec``, ``dot`` with a Gram and
+``pairing_matrix``) skip zero entries, since the push/pull matrices, the
+permutations and the reflections they see are mostly zeros.  Their entries
+equal the dense product's, but a sum all of whose ``Fraction`` terms were
+zeros comes back as an int: compare results with ``==`` and divide them with
+``//`` or ``Fraction``, never ``/``.
 """
 
 from __future__ import annotations
@@ -42,15 +49,33 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    """Matrix product; entries may be ints or Fractions."""
+    """Matrix product; entries may be ints or Fractions.
+
+    Each row of the product accumulates x * b[k] over the nonzero entries x =
+    row[k] only.
+    """
     if not a or not b:
         return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    width = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
+
+
+def _nonzero(v) -> list[tuple[int, object]]:
+    """(index, coordinate) for the nonzero coordinates of v."""
+    return [(j, x) for j, x in enumerate(v) if x]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a v, summed over the nonzero coordinates of v only."""
+    nz = _nonzero(v)
+    return [sum(row[j] * x for j, x in nz) for row in a]
 
 
 def mat_sub(a, b):
@@ -75,13 +100,14 @@ def dot(v, w, gram=None):
     """Pairing of two coordinate vectors, optionally against a Gram matrix."""
     if gram is None:
         return sum(x * y for x, y in zip(v, w))
-    return sum(v[i] * sum(gram[i][j] * w[j] for j in range(len(w))) for i in range(len(v)))
+    nz = _nonzero(w)
+    return sum(x * sum(gram[i][j] * y for j, y in nz) for i, x in _nonzero(v))
 
 
 def pairing_matrix(vectors, gram):
     """Gram matrix of a family of coordinate vectors under ``gram``."""
     gv = [mat_vec(gram, v) for v in vectors]
-    return [[sum(x * y for x, y in zip(v, gw)) for gw in gv] for v in vectors]
+    return [[sum(gw[j] * x for j, x in nz) for gw in gv] for nz in map(_nonzero, vectors)]
 
 
 def bareiss_determinant(mat) -> int:

@@ -39,3 +39,43 @@ def gamma16_basis_vectors() -> list[list[Fraction]]:
 def squarefree_part(p):
     """p / gcd(p, p'), monic."""
     return (p // p.gcd(p.derivative())).monic()
+
+
+# Dense products: every entry summed over every term, zeros included.  The
+# sparse products of ``linalg`` must give equal entries.
+
+
+def dense_mat_mul(a, b):
+    if not a or not b:
+        return []
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def dense_mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def dense_dot(v, w, gram):
+    return sum(v[i] * sum(gram[i][j] * w[j] for j in range(len(w))) for i in range(len(v)))
+
+
+def dense_pairing_matrix(vectors, gram):
+    gv = [dense_mat_vec(gram, v) for v in vectors]
+    return [[sum(x * y for x, y in zip(v, gw)) for gw in gv] for v in vectors]
+
+
+def per_element_action_table(form, matrix):
+    """The induced action on A_M, one element at a time: x -> reduce(sum_i x_i img_i).
+
+    img_i is the class of the image of generator i, each x is summed on its
+    own, and the sums use the dense product.
+    """
+    images = [form.element_of(dense_mat_vec(matrix, list(g))) for g in form.generators]
+    table = {}
+    for x in form.elements():
+        image = [0] * len(x)
+        for c, img in zip(x, images):
+            image = [a + c * b for a, b in zip(image, img)]
+        table[x] = form.reduce(image)
+    return table

@@ -441,10 +441,7 @@ def test_short_vector_search_past_its_term_bound_is_unsupported(
         assert got == message
 
 
-def test_a_n_past_its_bound_is_unsupported(capsys):
-    # the Gram of A_n is n x n; A_400 took 10 s to build before the bound
-    assert run(["lattice", "info", "--std", "An", "--param", "32"]).status == "ok"
-    argv = ["lattice", "info", "--std", "An", "--param", "33"]
+def _assert_unsupported_within_a_second(argv, message, capsys):
     for prefix in ([], ["--json"]):
         start = time.process_time()
         code = main(prefix + argv)
@@ -454,9 +451,28 @@ def test_a_n_past_its_bound_is_unsupported(capsys):
         if prefix:
             error = json.loads(captured.out)
             assert error["error_code"] == "unsupported" and captured.err == ""
-            message = error["diagnostics"][0]
+            got = error["diagnostics"][0]
         else:
             error = json.loads(captured.err)
             assert error["code"] == "unsupported" and captured.out == ""
-            message = error["message"]
-        assert message == "A_33: n is past the bound 32"
+            got = error["message"]
+        assert got == message
+
+
+def test_a_n_past_its_bound_is_unsupported(capsys):
+    # the Gram of A_n is n x n; A_400 took 10 s to build before the bound
+    assert run(["lattice", "info", "--std", "An", "--param", "32"]).status == "ok"
+    argv = ["lattice", "info", "--std", "An", "--param", "33"]
+    _assert_unsupported_within_a_second(argv, "A_33: n is past the bound 32", capsys)
+
+
+def test_file_gram_past_the_rank_bound_is_unsupported(capsys, tmp_path):
+    # A1(-1)^n from a file: rank 64 builds, rank 65 is refused before its elimination
+    def info(n):
+        path = tmp_path / f"rank{n}.json"
+        path.write_text(json.dumps({"gram": [[-2 * (i == j) for j in range(n)] for i in range(n)]}))
+        return ["lattice", "info", "--file", str(path)]
+
+    assert run(info(64)).payload == {"rank": 64, "det": 2 ** 64, "even": True, "signature": [0, 64]}
+    message = "a rank-65 gram matrix is past the rank bound 64"
+    _assert_unsupported_within_a_second(info(65), message, capsys)
