@@ -217,18 +217,6 @@ def _primitive(ints: list[int]) -> list[int]:
     return [v // g for v in ints]
 
 
-def _int_poly_mul(a, b) -> list[int]:
-    """Product of two integer coefficient lists, low degree first, canonical."""
-    out = [0] * max(0, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _coerce(x) -> RatPoly:
     if isinstance(x, RatPoly):
         return x
@@ -244,7 +232,8 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     the result.  The multiplied-out factorization is checked against the
     input on every call, cache hits included, so the factorizer is never
     trusted blindly: p lc(prod) = prod lc(p), on the integer coefficients of
-    p and with a product of its own, independent of the factorizer's.
+    p.  The product is ``polyfactor``'s integer product; what guards against
+    a wrong factorization is this comparison, not the multiplication.
     """
     if p.is_zero:
         raise BadInputError("cannot factor the zero polynomial")
@@ -255,7 +244,7 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     product = [1]
     for f, e in factors:
         for _ in range(e):
-            product = _int_poly_mul(product, f)
+            product = polyfactor._mul(product, f)
     back = bool(product) and [c * product[-1] for c in ints] == [c * ints[-1] for c in product]
     require(back, f"the factors of a degree-{p.degree} polynomial do not multiply back to it")
     return [(RatPoly(f), e) for f, e in factors]

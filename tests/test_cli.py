@@ -397,6 +397,24 @@ def test_parser_builds():
     build_parser()
 
 
+def _assert_unsupported_within_a_second(argv, message, capsys):
+    for prefix in ([], ["--json"]):
+        start = time.process_time()
+        code = main(prefix + argv)
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 1
+        if prefix:
+            error = json.loads(captured.out)
+            assert error["error_code"] == "unsupported" and captured.err == ""
+            got = error["diagnostics"][0]
+        else:
+            error = json.loads(captured.err)
+            assert error["code"] == "unsupported" and captured.out == ""
+            got = error["message"]
+        assert got == message
+
+
 @pytest.mark.parametrize(
     "source, norm, message",
     [
@@ -424,39 +442,7 @@ def test_short_vector_search_past_its_term_bound_is_unsupported(
     path.write_text(json.dumps({"gram": direct_sum([e8(-1)] * 8).gram_rows()}))
     source = [str(path) if a == "E8^8" else a for a in source]
     argv = ["lattice", "roots"] + source + ["--norm", norm]
-    for prefix in ([], ["--json"]):
-        start = time.process_time()
-        code = main(prefix + argv)
-        assert time.process_time() - start < 1.0
-        captured = capsys.readouterr()
-        assert code == 1
-        if prefix:
-            error = json.loads(captured.out)
-            assert error["error_code"] == "unsupported" and captured.err == ""
-            got = error["diagnostics"][0]
-        else:
-            error = json.loads(captured.err)
-            assert error["code"] == "unsupported" and captured.out == ""
-            got = error["message"]
-        assert got == message
-
-
-def _assert_unsupported_within_a_second(argv, message, capsys):
-    for prefix in ([], ["--json"]):
-        start = time.process_time()
-        code = main(prefix + argv)
-        assert time.process_time() - start < 1.0
-        captured = capsys.readouterr()
-        assert code == 1
-        if prefix:
-            error = json.loads(captured.out)
-            assert error["error_code"] == "unsupported" and captured.err == ""
-            got = error["diagnostics"][0]
-        else:
-            error = json.loads(captured.err)
-            assert error["code"] == "unsupported" and captured.out == ""
-            got = error["message"]
-        assert got == message
+    _assert_unsupported_within_a_second(argv, message, capsys)
 
 
 def test_a_n_past_its_bound_is_unsupported(capsys):
