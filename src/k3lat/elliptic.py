@@ -1,5 +1,12 @@
 """Weierstrass fibrations y^2 = x(x^2 + a(t)x + b(t)) with exact coefficients.
 
+Polynomials are ``RatPoly``s over Q.  A coefficient is an ``int`` when it is
+integral and a ``Fraction`` only when it is not; a float is refused.  Integer
+input (every family ``verify`` draws) therefore runs a^2 - 4b, the gcd
+screens, division, ``monic`` and printing on ints, while rational input keeps
+exact Fractions where it needs them.  Output does not depend on the type: an
+int and an integral Fraction compare, hash and print alike.
+
 The model has a visible 2-torsion section at (0, 0); deg a <= 4 and deg b <= 8
 keep the family K3-sized and minimal at infinity in the fixed chart u = s^4 x,
 v = s^6 y.  Discriminants are kept unit-free (constants are dropped since only
@@ -42,13 +49,20 @@ from .lattice import Lattice, a_n, direct_sum, e8, hyperbolic_plane, nikulin, ni
 
 
 class RatPoly:
-    """Univariate polynomial over Q, coefficients low degree first, canonical."""
+    """Univariate polynomial over Q, coefficients low degree first, canonical.
+
+    ``coeffs`` is a tuple without trailing zeros.  Each entry is an ``int``
+    when integral and a ``Fraction`` with denominator > 1 otherwise: the
+    constructor normalizes every input, and division goes through
+    ``_quotient``, which returns an int when it is exact.  ``gcd`` runs on
+    Python ints and shares no code with ``polyfactor``.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         try:
-            cs = [Fraction(c) for c in coeffs]
+            cs = [c if type(c) is int else _exact(c) for c in coeffs]
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise BadInputError(f"bad polynomial coefficients {coeffs!r}") from exc
         while cs and cs[-1] == 0:
@@ -57,10 +71,14 @@ class RatPoly:
 
     @classmethod
     def from_string(cls, text: str) -> "RatPoly":
-        """Parse comma-separated exact rationals like "1,0,-3/2"."""
-        parts = [p.strip() for p in text.split(",")]
+        """Parse comma-separated exact rationals like "1,0,-3/2"; "" is zero.
+
+        Every entry must be present: "1,,2" and ",1" are refused.
+        """
+        if not text.strip():
+            return cls()
         try:
-            return cls([Fraction(p) for p in parts if p != ""])
+            return cls([Fraction(p) for p in text.split(",")])
         except (ValueError, ZeroDivisionError) as exc:
             raise BadInputError(f"bad polynomial coefficient list {text!r}") from exc
 
@@ -73,10 +91,10 @@ class RatPoly:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int) -> int | Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def leading(self) -> Fraction:
+    def leading(self) -> int | Fraction:
         if self.is_zero:
             raise BadInputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -106,7 +124,7 @@ class RatPoly:
         other = _coerce(other)
         if self.is_zero or other.is_zero:
             return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -121,12 +139,12 @@ class RatPoly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
         lead = other.leading()
         for i in range(len(rem) - 1, d - 1, -1):
             if rem[i]:
-                f = rem[i] / lead
+                f = _quotient(rem[i], lead)
                 q[i - d] = f
                 for j, c in enumerate(other.coeffs):
                     rem[i - d + j] -= f * c
@@ -151,7 +169,7 @@ class RatPoly:
         if self.is_zero:
             return self
         lead = self.leading()
-        return RatPoly([c / lead for c in self.coeffs])
+        return RatPoly([_quotient(c, lead) for c in self.coeffs])
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd over Q (zero when both are zero).
@@ -201,6 +219,23 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly({self})"
+
+
+def _exact(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction; floats are refused."""
+    if isinstance(c, float):
+        raise BadInputError(f"polynomial coefficient {c!r} is a float; give an exact rational")
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(x, y) -> int | Fraction:
+    """x / y, an int when the division is exact."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return _exact(x / y)
 
 
 def _integer_coeffs(p: RatPoly) -> list[int]:

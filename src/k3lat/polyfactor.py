@@ -248,16 +248,20 @@ def _equal_degree(g, d, p, rng):
 # -- Hensel lifting and recombination ------------------------------------------
 
 
-def _hensel_step(f, g, h, s, t, m):
-    """From f = g h, s g + t h = 1 mod m (h monic) to the same mod m^2."""
+def _hensel_factors(f, g, h, s, t, m):
+    """From f = g h, s g + t h = 1 mod m (h monic) to f = g h mod m^2."""
     mm = m * m
     e = _sub(f, _mul(g, h), mm)
     q, r = _divmod(_mul(s, e), h, mm)
-    g = _add(g, _add(_mul(t, e), _mul(q, g)), mm)
-    h = _add(h, r, mm)
+    return _add(g, _add(_mul(t, e), _mul(q, g)), mm), _add(h, r, mm)
+
+
+def _hensel_bezout(g, h, s, t, m):
+    """From s g + t h = 1 mod m to the same mod m^2, for the lifted g and h."""
+    mm = m * m
     b = _sub(_add(_mul(s, g), _mul(t, h)), [1], mm)
     c, d = _divmod(_mul(s, b), h, mm)
-    return g, h, _sub(s, d, mm), _sub(t, _add(_mul(t, b), _mul(c, g)), mm)
+    return _sub(s, d, mm), _sub(t, _add(_mul(t, b), _mul(c, g)), mm)
 
 
 def _lift(f, factors, p, steps):
@@ -269,8 +273,10 @@ def _lift(f, factors, p, steps):
     h = functools.reduce(lambda x, y: _mul(x, y, p), factors[half:])
     s, t = _bezout(g, h, p)
     m = p
-    for _ in range(steps):
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+    for step in range(steps):
+        g, h = _hensel_factors(f, g, h, s, t, m)
+        if step < steps - 1:  # the last s and t would go unused
+            s, t = _hensel_bezout(g, h, s, t, m)
         m *= m
     return _lift(g, factors[:half], p, steps) + _lift(h, factors[half:], p, steps)
 
@@ -293,11 +299,16 @@ def _recombine(f, lifted, m):
     return out + [f]
 
 
-def _factor_squarefree(f):
-    """Irreducible factors over Z of a primitive squarefree f with positive lc."""
+def _factor_squarefree(f, p=None):
+    """Irreducible factors over Z of a primitive squarefree f with positive lc.
+
+    p, when given, is the least odd prime that keeps f separable; otherwise
+    it is searched for here.
+    """
     if len(f) == 2:
         return [f]
-    p = next(p for p in _odd_primes() if _separable_mod(f, p))
+    if p is None:
+        p = next(p for p in _odd_primes() if _separable_mod(f, p))
     rng = random.Random(0)
     monic = _monic(_trim(f, p), p)
     modular = [u for g, d in _distinct_degree(monic, p) for u in _equal_degree(g, d, p, rng)]
@@ -326,7 +337,12 @@ def factor(f: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     if len(f) < 2:
         return ()
+    # the primes below p divide lc(f), so if p keeps f separable it is the
+    # least such prime and _factor_squarefree need not search again
     p = next(p for p in _odd_primes() if f[-1] % p)
-    parts = [(list(f), 1)] if _separable_mod(f, p) else squarefree_decomposition(list(f))
-    out = [(tuple(g), e) for a, e in parts for g in _factor_squarefree(a)]
+    if _separable_mod(f, p):
+        out = [(tuple(g), 1) for g in _factor_squarefree(list(f), p)]
+    else:
+        parts = squarefree_decomposition(list(f))
+        out = [(tuple(g), e) for a, e in parts for g in _factor_squarefree(a)]
     return tuple(sorted(out, key=lambda ge: (len(ge[0]), ge[0])))

@@ -79,3 +79,58 @@ def per_element_action_table(form, matrix):
             image = [a + c * b for a, b in zip(image, img)]
         table[x] = form.reduce(image)
     return table
+
+
+# Polynomials over Q as lists of Fractions, low degree first, no trailing
+# zeros: every coefficient a Fraction, whatever its value.  ``RatPoly`` keeps
+# integral coefficients as ints and must agree with these by value.
+
+
+def fraction_poly(coeffs) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def fraction_poly_add(a, b) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return fraction_poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                          for i in range(n)])
+
+
+def fraction_poly_neg(a) -> list[Fraction]:
+    return [-c for c in a]
+
+
+def fraction_poly_mul(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fraction_poly(out)
+
+
+def fraction_poly_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division by a nonzero b."""
+    rem, quo = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b):
+        f, shift = rem[-1] / b[-1], len(rem) - len(b)
+        quo[shift] = f
+        rem = fraction_poly(rem[:shift] + [r - f * c for r, c in zip(rem[shift:], b)])
+    return fraction_poly(quo), rem
+
+
+def fraction_poly_monic(a) -> list[Fraction]:
+    return [c / a[-1] for c in a] if a else []
+
+
+def fraction_poly_gcd(a, b) -> list[Fraction]:
+    """Monic gcd by Euclid (zero when both are zero)."""
+    while b:
+        a, b = b, fraction_poly_divmod(a, b)[1]
+    return fraction_poly_monic(a)
+
+
+def fraction_poly_derivative(a) -> list[Fraction]:
+    return fraction_poly([i * c for i, c in enumerate(a)][1:])

@@ -286,8 +286,14 @@ def _assert_error_envelope(argv, exit_code, code, capsys):
         (["k3", "push", "--vector", "5"], None),
         (["k3", "pull", "--extended", "--vector", '["1/0"]'], None),
         (["k3", "push", "--vector", _PUSH_HALF], None),
+        (["ell", "fibers", "--a=1,,2", "--b=1,0,0,0,0,0,0,0,1"], None),
+        (["ell", "fibers", "--a=,1", "--b=1,0,0,0,0,0,0,0,1"], None),
+        (["ell", "fibers", "--a=1,", "--b=1,0,0,0,0,0,0,0,1"], None),
+        (["ell", "quotient", "--a=1", "--b=1, ,1"], None),
     ],
-    ids=["gram-int", "gram-str", "doc-empty-str", "doc-str-of-lattice", "fiber-count", "vector-dict", "vector-int", "vector-1/0", "vector-1.5"],
+    ids=["gram-int", "gram-str", "doc-empty-str", "doc-str-of-lattice", "fiber-count", "vector-dict",
+         "vector-int", "vector-1/0", "vector-1.5", "poly-empty-between", "poly-empty-before",
+         "poly-empty-after", "poly-blank-entry"],
 )
 def test_malformed_input_is_bad_input_envelope(argv, file_text, tmp_path, capsys):
     if file_text is not None:

@@ -31,7 +31,17 @@ from k3lat.elliptic import (
     irreducible_factors,
     parse_fiber_list,
 )
-from oracles import squarefree_part
+from oracles import (
+    fraction_poly,
+    fraction_poly_add,
+    fraction_poly_derivative,
+    fraction_poly_divmod,
+    fraction_poly_gcd,
+    fraction_poly_monic,
+    fraction_poly_mul,
+    fraction_poly_neg,
+    squarefree_part,
+)
 
 F = Fraction
 
@@ -44,11 +54,89 @@ def test_ratpoly_parse_and_canonical_form():
     assert p.coeffs == (F(1), F(0), F(-3, 2))
     assert RatPoly([1, 2, 0, 0]).coeffs == (F(1), F(2))
     assert RatPoly([]).is_zero
-    with pytest.raises(BadInputError):
-        RatPoly.from_string("1, x")
-    for bad in (5, ["a"], ["1/0"]):
+    assert RatPoly.from_string("").is_zero
+    assert RatPoly.from_string(" ").is_zero
+    # every entry must be present; an empty one is refused, not skipped
+    for text in ("1, x", "1,,2", ",1", "1,", "1, ,2", ","):
+        with pytest.raises(BadInputError, match="coefficient list"):
+            RatPoly.from_string(text)
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    for bad in (5, ["a"], ["1/0"], [0.1], [1, 2.0], [F(1, 2), float("inf")]):
         with pytest.raises(BadInputError):
             RatPoly(bad)
+    with pytest.raises(BadInputError):
+        RatPoly([1]) * 0.5
+
+
+def test_ratpoly_keeps_integral_coefficients_as_ints():
+    p = RatPoly([F(4, 2), 3, F(1, 3), True, "5/5"])
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction, int, int]
+    assert p.coeffs == (2, 3, F(1, 3), 1, 1)
+    assert type(RatPoly([])[0]) is int
+    assert [type(c) for c in (p * 3).coeffs] == [int, int, int, int, int]
+    assert RatPoly([2, 4]).monic().coeffs == (F(1, 2), 1)
+
+
+def test_integer_input_builds_no_fraction(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError(f"a Fraction{args} was built from integer input")
+
+    monkeypatch.setattr(elliptic, "Fraction", NoFraction)
+    t = RatPoly([0, 1])
+    p = (t * t - 2) * (t * 3 + 1)
+    assert divmod(p, t * t - 2) == (t * 3 + 1, RatPoly())
+    assert (t * t - 2).divides(p) and not (t * t + 2).divides(p)
+    q = (t * t - 2) * (t + 1)
+    assert (q * 5).monic() == q
+    assert (q * 5).gcd(q * (t - 3)) == q
+    fib = WeierstrassFibration([1, 2, 0, -1, 1], [3, 0, 1, -2, 0, 1, 0, 0, 1])
+    assert fiber_configuration(two_isogeny_quotient(fib)).all_multiplicative
+
+
+MIXED_COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),  # integral ones too
+)
+MIXED_POLYS = st.lists(MIXED_COEFFS, max_size=5)  # zero and constants included
+
+
+def _assert_canonical(p):
+    """Integral coefficients are ints; only the others are Fractions."""
+    assert all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.coeffs
+    ), p.coeffs
+
+
+def _agrees(p, oracle):
+    _assert_canonical(p)
+    assert p.coeffs == tuple(oracle)
+
+
+@given(MIXED_POLYS, MIXED_POLYS, MIXED_COEFFS)
+@settings(max_examples=300, deadline=None)
+def test_ratpoly_matches_the_fraction_oracle(xs, ys, scalar):
+    p, q = RatPoly(xs), RatPoly(ys)
+    a, b = fraction_poly(xs), fraction_poly(ys)
+    _agrees(p, a)
+    _agrees(p + q, fraction_poly_add(a, b))
+    _agrees(p - q, fraction_poly_add(a, fraction_poly_neg(b)))
+    _agrees(-p, fraction_poly_neg(a))
+    _agrees(p * q, fraction_poly_mul(a, b))
+    _agrees(p * scalar, fraction_poly_mul(a, fraction_poly([scalar])))
+    _agrees(p.monic(), fraction_poly_monic(a))
+    _agrees(p.gcd(q), fraction_poly_gcd(a, b))
+    _agrees(p.derivative(), fraction_poly_derivative(a))
+    if not q.is_zero:
+        quo, rem = divmod(p, q)
+        want_quo, want_rem = fraction_poly_divmod(a, b)
+        _agrees(quo, want_quo)
+        _agrees(rem, want_rem)
+        assert q.divides(p) == (not want_rem)
+    text = ", ".join(str(c) for c in xs)
+    _agrees(RatPoly.from_string(text), a)
+    assert hash(p) == hash(tuple(a))
+    assert p.coeff_strings() == [str(c) for c in a]
 
 
 def test_ratpoly_arithmetic():

@@ -40,7 +40,12 @@ from k3lat import lattice, linalg, polyfactor
 from k3lat.discforms import action_on_disc
 from k3lat.elliptic import RatPoly
 from k3lat.lattice import Lattice
-from oracles import gamma16_basis_vectors, nikulin_permutation_matrix
+from oracles import (
+    fraction_poly,
+    fraction_poly_gcd,
+    gamma16_basis_vectors,
+    nikulin_permutation_matrix,
+)
 
 TWISTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
@@ -474,9 +479,7 @@ def test_gamma16_gram_is_the_fraction_dot_products():
 
 def _fraction_euclid_gcd(a, b):
     """Monic gcd over Q by Euclid on Fraction coefficients."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    return RatPoly(fraction_poly_gcd(fraction_poly(a.coeffs), fraction_poly(b.coeffs)))
 
 
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))

@@ -147,6 +147,41 @@ def test_swinnerton_dyer_octic_needs_recombination(monkeypatch):
     assert len(seen) == 1 and seen[0][0] >= 4 and seen[0][1] == 1
 
 
+def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
+    separable_mod, lift_factors, lift_bezout = (
+        polyfactor._separable_mod, polyfactor._hensel_factors, polyfactor._hensel_bezout
+    )
+    primes_tested, factor_moduli, bezout_moduli = [], [], []
+
+    def count_separable(f, p):
+        primes_tested.append(p)
+        return separable_mod(f, p)
+
+    def count_factors(f, g, h, s, t, m):
+        factor_moduli.append(m)
+        return lift_factors(f, g, h, s, t, m)
+
+    def count_bezout(g, h, s, t, m):
+        bezout_moduli.append(m)
+        return lift_bezout(g, h, s, t, m)
+
+    monkeypatch.setattr(polyfactor, "_separable_mod", count_separable)
+    monkeypatch.setattr(polyfactor, "_hensel_factors", count_factors)
+    monkeypatch.setattr(polyfactor, "_hensel_bezout", count_bezout)
+    polyfactor.factor.cache_clear()
+    try:
+        # squarefree mod 3, its first prime, and split there into more factors than over Q
+        assert len(irreducible_factors(FIXED["t^8-1"])) == 4
+    finally:
+        polyfactor.factor.cache_clear()
+    # the squarefree test of factor() chose the prime; _factor_squarefree reused it
+    assert primes_tested == [3]
+    # every lifting node lifts its factors to the top modulus, and its s, t one step short
+    top = max(factor_moduli)
+    assert top not in bezout_moduli
+    assert sorted(bezout_moduli) == sorted(m for m in factor_moduli if m != top)
+
+
 # -- squarefree decomposition, memo and limits -------------------------------------
 
 
