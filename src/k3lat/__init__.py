@@ -29,8 +29,8 @@ from .lattice import (
     e8_simple_reflections,
     enumerate_vectors_of_norm,
     gamma16,
-    gamma16_contains,
-    gamma16_coordinates,
+    gamma16_contains_doubled,
+    gamma16_coordinates_doubled,
     hyperbolic_plane,
     minus_one_sum,
     nikulin,

@@ -49,21 +49,24 @@ class FiniteQuadraticForm:
 
     ``coordinates`` holds one integer row per generator: the class of a dual
     vector w has residue (row . G w) mod d_i, as the nontrivial rows of U in
-    the Smith form U*G*V = D give.  Everything set here is a tuple, since the
-    memo of ``discriminant_form`` shares one form between callers.
+    the Smith form U*G*V = D give; g_i = (column i of V) / d_i has the exact
+    denominator d_i, since that column is primitive.  Everything set here is a
+    tuple, since the memo of ``discriminant_form`` shares one form between
+    callers.
     """
 
-    def __init__(self, parent: Lattice, factors, generators, coordinates):
+    def __init__(self, parent: Lattice, factors, columns, coordinates):
         self.parent = parent
         self.invariant_factors = tuple(int(d) for d in factors)
-        self.generators = tuple(tuple(Fraction(c) for c in g) for g in generators)
         self.order = math.prod(self.invariant_factors)
         self._coordinates = tuple(tuple(map(int, row)) for row in coordinates)
-        den = math.lcm(*(c.denominator for g in self.generators for c in g))
+        den = math.lcm(*self.invariant_factors)
         #: den * g_i on ints, the generator lifts without Fractions
         self._scaled = tuple(
-            tuple(c.numerator * (den // c.denominator) for c in g) for g in self.generators
+            tuple(int(c) * (den // d) for c in col)
+            for d, col in zip(self.invariant_factors, columns)
         )
+        self.generators = tuple(tuple(Fraction(c, den) for c in g) for g in self._scaled)
         self._den = den
         #: q and b values are integer numerators over this denominator den^2
         self.denominator = den * den
@@ -91,9 +94,6 @@ class FiniteQuadraticForm:
             raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not both lie in {self}")
         return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
-    def neg(self, x: DiscElement) -> DiscElement:
-        return self.reduce([-a for a in x])
-
     def scale(self, n: int, x: DiscElement) -> DiscElement:
         return self.reduce([n * a for a in x])
 
@@ -103,27 +103,28 @@ class FiniteQuadraticForm:
 
     def lift(self, x: DiscElement) -> list[Fraction]:
         """A dual-vector representative in M tensor Q."""
-        n = self.parent.rank
-        out = [Fraction(0)] * n
-        for c, g in zip(x, self.generators):
-            for i in range(n):
-                out[i] += c * g[i]
-        return out
+        scaled = [0] * self.parent.rank
+        for c, g in zip(x, self._scaled):
+            if c:
+                scaled = [s + c * gi for s, gi in zip(scaled, g)]
+        return [Fraction(s, self._den) for s in scaled]
 
     def element_of(self, dual_vector) -> DiscElement:
         """Class of a dual vector (pairs integrally with M) in A_M."""
-        w = [Fraction(v) for v in dual_vector]
+        den, w = linalg.clear_denominators(dual_vector)
         if len(w) != self.parent.rank:
             raise BadInputError("vector length must equal the lattice rank")
-        den = math.lcm(*(x.denominator for x in w))
-        return self._class_of_scaled([x.numerator * (den // x.denominator) for x in w], den)
+        return self._class_of_scaled(w, den)
 
     def _class_of_scaled(self, w: list[int], den: int) -> DiscElement:
         """Class of the dual vector w / den, for an integer vector w."""
         gw = linalg.mat_vec(self.parent.gram_rows(), w)
         if any(x % den for x in gw):
             raise BadInputError("vector does not pair integrally with the lattice")
-        gw = [x // den for x in gw]
+        return self._class_of_pairing([x // den for x in gw])
+
+    def _class_of_pairing(self, gw: list[int]) -> DiscElement:
+        """Class of the dual vector w from its integer pairings gw = G w."""
         return self.reduce(linalg.mat_vec(self._coordinates, gw))
 
     # -- forms ---------------------------------------------------------------
@@ -194,8 +195,8 @@ def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     n = lattice.rank
     d, u, v = linalg.smith_normal_form(lattice.gram_rows())
     keep = [i for i in range(n) if d[i][i] > 1]
-    gens = [[Fraction(v[r][i], d[i][i]) for r in range(n)] for i in keep]
-    return FiniteQuadraticForm(lattice, [d[i][i] for i in keep], gens, [u[i] for i in keep])
+    columns = [[v[r][i] for r in range(n)] for i in keep]
+    return FiniteQuadraticForm(lattice, [d[i][i] for i in keep], columns, [u[i] for i in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +213,7 @@ def qK_on_U2_cubed() -> dict:
     base = direct_sum([hyperbolic_plane(2)] * 3, name="U(2)^3")
     form = discriminant_form(base)
     require(form.invariant_factors == (2,) * 6, f"A_U(2)^3 is {form}, not (Z/2)^6")
-    halves = [form.element_of([Fraction(int(i == j), 2) for j in range(6)]) for i in range(6)]
+    halves = [form._class_of_scaled([int(i == j) for j in range(6)], 2) for i in range(6)]
     sums = {(): form.zero()}  # bits in the order e1,f1,e2,f2,e3,f3 -> class of the sum
     for half in halves:
         sums = {bits + (bit,): form.add(x, half) if bit else x

@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import polyfactor
+from . import linalg, polyfactor
 from .errors import BadInputError, UnsupportedError, decimal, require
 from .discforms import lattice_fingerprint
 from .lattice import Lattice, a_n, direct_sum, e8, hyperbolic_plane, nikulin, nikulin_node_coords
@@ -179,7 +179,8 @@ class RatPoly:
         a, b.  It runs on Python ints and shares no code with ``polyfactor``,
         so the screens of ``verify`` stay independent of the factorizer.
         """
-        a, b = _primitive(_integer_coeffs(self)), _primitive(_integer_coeffs(_coerce(other)))
+        a = _primitive(linalg.clear_denominators(self.coeffs)[1])
+        b = _primitive(linalg.clear_denominators(_coerce(other).coeffs)[1])
         while b:
             r, lead, d = a, b[-1], len(b) - 1
             while len(r) > d:  # r = lead^k a mod b
@@ -238,12 +239,6 @@ def _quotient(x, y) -> int | Fraction:
     return _exact(x / y)
 
 
-def _integer_coeffs(p: RatPoly) -> list[int]:
-    """The coefficients of p times their common denominator."""
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (denom // c.denominator) for c in p.coeffs]
-
-
 def _primitive(ints: list[int]) -> list[int]:
     """ints divided by their content, leading entry positive ([] for zero)."""
     if not ints:
@@ -274,7 +269,7 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
         raise BadInputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    ints = _integer_coeffs(p)
+    _, ints = linalg.clear_denominators(p.coeffs)
     factors = polyfactor.factor(tuple(_primitive(ints)))
     product = [1]
     for f, e in factors:

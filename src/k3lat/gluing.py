@@ -27,8 +27,8 @@ from .lattice import (
     Lattice,
     direct_sum,
     gamma16,
-    gamma16_contains,
-    gamma16_coordinates,
+    gamma16_contains_doubled,
+    gamma16_coordinates_doubled,
     hyperbolic_plane,
     nikulin,
     nikulin_node_coords,
@@ -40,13 +40,14 @@ from .lattice import (
 class GlueData:
     """A base lattice plus rational glue vectors whose classes generate H.
 
-    Two GlueData are equal when the bases agree in Gram, labels and name (a
+    Each glue vector v is kept as (den, den * v) on ints, den least.  Two
+    GlueData are equal when the bases agree in Gram, labels and name (a
     Lattice compares Grams only) and the glue vectors agree, so the memo of
     ``glue`` hands every caller an Overlattice whose base equals its own.
     """
 
     base: Lattice
-    glue_vectors: tuple[tuple[Fraction, ...], ...]
+    glue_vectors: tuple[tuple[int, tuple[int, ...]], ...]
 
     def _key(self):
         return self.base.gram, self.base.labels, self.base.name, self.glue_vectors
@@ -60,13 +61,12 @@ class GlueData:
     @staticmethod
     def of(base: Lattice, vectors) -> "GlueData":
         try:
-            vecs = tuple(tuple(Fraction(c) for c in v) for v in vectors)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            cleared = [linalg.clear_denominators(v) for v in vectors]
+        except (TypeError, BadInputError) as exc:
             raise BadInputError("glue vectors must be lists of exact rationals") from exc
-        for v in vecs:
-            if len(v) != base.rank:
-                raise BadInputError("glue vectors must have the base rank as length")
-        return GlueData(base, vecs)
+        if any(len(w) != base.rank for _, w in cleared):
+            raise BadInputError("glue vectors must have the base rank as length")
+        return GlueData(base, tuple((den, tuple(w)) for den, w in cleared))
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,16 @@ def glue(data: GlueData) -> Overlattice:
     base = data.base
     n = base.rank
     gram = base.gram_rows()
-    scaled = []  # (den, den * v) per glue vector, on ints
-    for v in data.glue_vectors:
-        den = math.lcm(*(c.denominator for c in v))
-        w = [c.numerator * (den // c.denominator) for c in v]
-        if any(x % den for x in linalg.mat_vec(gram, w)):  # G v integral <=> G (den v) = 0 mod den
+    pairings = []  # G v on ints, one per glue vector
+    for den, w in data.glue_vectors:
+        gw = linalg.mat_vec(gram, w)
+        if any(x % den for x in gw):  # G v integral <=> G (den v) = 0 mod den
+            v = tuple(Fraction(x, den) for x in w)
             raise NotDualVectorError(f"glue vector {v} is not in the dual lattice")
-        scaled.append((den, w))
+        pairings.append([x // den for x in gw])
 
     form = discriminant_form(base)
-    classes = [form.element_of(list(v)) for v in data.glue_vectors]
+    classes = [form._class_of_pairing(gw) for gw in pairings]
     subgroup = _closure(form, classes)
     for elem in sorted(subgroup):
         if form.q_numerator(elem):
@@ -119,9 +119,9 @@ def glue(data: GlueData) -> Overlattice:
 
     # H = denom * (overlattice basis) is the integral, upper-triangular HNF of
     # denom * Z^n plus the scaled glue vectors
-    denom = math.lcm(*(den for den, _ in scaled))
+    denom = math.lcm(*(den for den, _ in data.glue_vectors))
     rows = [[denom * x for x in row] for row in linalg.identity_matrix(n)]
-    rows += [[(denom // den) * x for x in w] for den, w in scaled]
+    rows += [[(denom // den) * x for x in w] for den, w in data.glue_vectors]
     hnf = linalg.hermite_normal_form(rows)
     require(len(hnf) == n, f"glue HNF has rank {len(hnf)}, not the base rank {n}")
     index = denom ** n // math.prod(hnf[i][i] for i in range(n))
@@ -199,13 +199,12 @@ def u2cubed_nikulin_glue_vectors() -> list[list[Fraction]]:
     """The six half-integer glue vectors in U(2)^3 + N coordinates."""
     out = []
     for kind, copy, nodes in _GLUE_PATTERN:
-        v = [Fraction(0)] * 14
-        slot = 2 * (copy - 1) + (0 if kind == "e" else 1)
-        v[slot] = Fraction(1, 2)
+        doubled = [0] * 14
+        doubled[2 * (copy - 1) + (0 if kind == "e" else 1)] = 1
         for i in nodes:
             for j, c in enumerate(nikulin_node_coords(i)):
-                v[6 + j] += Fraction(c, 2)
-        out.append(v)
+                doubled[6 + j] += c
+        out.append([Fraction(c, 2) for c in doubled])
     return out
 
 
@@ -220,11 +219,7 @@ def nikulin_square_base() -> Lattice:
 
 def nikulin_square_glue_vectors() -> list[list[Fraction]]:
     """Diagonal glue (x, x) over generators of A_N; valid since q_N = -q_N."""
-    form = discriminant_form(nikulin())
-    out = []
-    for gen in form.generators:
-        out.append(list(gen) + list(gen))
-    return out
+    return [list(gen) * 2 for gen in discriminant_form(nikulin()).generators]
 
 
 def nikulin_square_overlattice() -> Overlattice:
@@ -256,10 +251,9 @@ def nikulin_square_in_gamma16() -> int:
     bad = next(((i, j) for i in range(16) for j in range(16)
                 if -linalg.dot(doubled[i], doubled[j]) != 4 * gram[i][j]), None)
     require(bad is None, f"N + N -> Gamma16(-1): the images of basis pair {bad} pair wrongly")
-    images = [[Fraction(c, 2) for c in v] for v in doubled]
-    outside = next((k for k, v in enumerate(images) if not gamma16_contains(v)), None)
+    outside = next((k for k, y in enumerate(doubled) if not gamma16_contains_doubled(y)), None)
     require(outside is None, f"N + N -> Gamma16(-1): image {outside} is not in Gamma16")
-    coords = [gamma16_coordinates(v) for v in images]
+    coords = [gamma16_coordinates_doubled(y) for y in doubled]
 
     ambient = gamma16(-1)
     for which, rows in (("first", coords[:8]), ("second", coords[8:])):

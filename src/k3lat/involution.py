@@ -15,7 +15,6 @@ with pull extended to the whole unimodular Y-side lattice by w -> pull(2w)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadInputError, require
 from . import linalg
@@ -214,16 +213,20 @@ class QuotientCohomology:
 
     def contains_in_overlattice(self, w) -> bool:
         """Membership of a rational vector (22 coords) in the full Y lattice."""
-        ws = [Fraction(x) for x in w]
-        if len(ws) != 22:
+        return self._scaled_in_overlattice(w) is not None
+
+    def _scaled_in_overlattice(self, w) -> tuple[int, list[int]] | None:
+        """(den, den * w) on ints when w lies in the full Y lattice, else None."""
+        den, ints = linalg.clear_denominators(w)
+        if len(ints) != 22:
             raise BadInputError("expected 22 coordinates")
-        if any(x.denominator != 1 for x in ws[14:]):
-            return False
+        if any(x % den for x in ints[14:]):
+            return None
         # row i of the inclusion is e_i in the overlattice basis, so these are
-        # the overlattice coordinates of ws
+        # den times the overlattice coordinates of w
         inc = self.overlattice.inclusion
-        coords = [sum(ws[i] * inc[i][j] for i in range(14)) for j in range(14)]
-        return all(c.denominator == 1 for c in coords)
+        coords = [sum(ints[i] * inc[i][j] for i in range(14)) for j in range(14)]
+        return None if any(c % den for c in coords) else (den, ints)
 
     def pull_extended(self, w) -> list[int]:
         """pull on the whole Y lattice: pull(2w)/2, integral by construction.
@@ -231,12 +234,12 @@ class QuotientCohomology:
         The glue group is 2-elementary, so 2w is integral; pull(2w) must then
         be even.  Both are required, and the arithmetic stays on ints.
         """
-        ws = [Fraction(x) for x in w]
-        if not self.contains_in_overlattice(ws):
+        scaled = self._scaled_in_overlattice(w)
+        if scaled is None:
             raise BadInputError("vector is not in the glued Y-side lattice")
-        doubled = [2 * x for x in ws]
-        require(all(x.denominator == 1 for x in doubled), f"2 * {w} is not integral")
-        pulled = linalg.mat_vec(self.pull_matrix, [int(x) for x in doubled])
+        den, ints = scaled
+        require(2 % den == 0, f"2 * {w} is not integral")
+        pulled = linalg.mat_vec(self.pull_matrix, [x * (2 // den) for x in ints])
         require(all(x % 2 == 0 for x in pulled), f"extended pull of {w} left the lattice")
         return [x // 2 for x in pulled]
 

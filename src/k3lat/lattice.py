@@ -21,10 +21,10 @@ concurrent reads are safe.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadInputError,
@@ -263,24 +263,15 @@ def e8_simple_reflections() -> list[list[list[int]]]:
     return mats
 
 
-# Gamma16 = D16^+ : half-integer coordinate model of the even unimodular
-# positive definite rank-16 lattice that is not generated by its roots.
-# Integral basis: 15 of the 16 simple roots of D16 (alpha_2..alpha_16, i.e.
-# e_{i}-e_{i+1} for i=2..15 and e_15+e_16) plus the half-sum (e_1+...+e_16)/2.
-
-
 def _gamma16_doubled_basis() -> list[list[int]]:
-    """Twice the basis of Gamma16, as integer vectors in Z^16."""
-    vecs = []
-    for i in range(2, 16):  # e_i - e_{i+1}, i = 2..15
-        v = [0] * 16
-        v[i - 1], v[i] = 2, -2
-        vecs.append(v)
-    v = [0] * 16
-    v[14] = v[15] = 2
-    vecs.append(v)  # e_15 + e_16
-    vecs.append([1] * 16)  # half-sum glue vector
-    return vecs
+    """Twice the basis of Gamma16 = D16^+, as integer vectors in Z^16.
+
+    Gamma16 is the even unimodular positive definite rank-16 lattice that is
+    not generated by its roots.  Its integral basis: e_i - e_{i+1} for
+    i = 2..15 and e_15 + e_16 (15 simple roots of D16), then (e_1+...+e_16)/2.
+    """
+    vecs = [[2 * (j == i) - 2 * (j == i + 1) for j in range(16)] for i in range(1, 15)]
+    return vecs + [[0] * 14 + [2, 2], [1] * 16]
 
 
 def gamma16(twist: int = 1) -> Lattice:
@@ -291,47 +282,38 @@ def gamma16(twist: int = 1) -> Lattice:
     return Lattice(g, labels, "Gamma16").twist(twist)
 
 
-def _gamma16_doubled(x) -> list[int] | None:
-    """2x as integers when x lies in Gamma16, else None.
+def gamma16_contains_doubled(y) -> bool:
+    """Whether y / 2 lies in Gamma16, for an integer vector y = 2x in Z^16.
 
     x lies in Gamma16 when 2 x_i is integral, x_i - x_j is integral and
-    sum(x_i) is in 2Z, i.e. when y = 2x is integral with all y_i of one
-    parity and sum(y_i) in 4Z.
+    sum(x_i) is in 2Z, i.e. when all y_i have one parity and sum(y_i) is in 4Z.
     """
-    if len(x) != 16:
-        raise BadInputError("Gamma16 vectors live in Q^16")
-    ys = [2 * Fraction(v) for v in x]
-    if any(y.denominator != 1 for y in ys):
-        return None
-    y = [int(c) for c in ys]
-    if any((c - y[0]) % 2 for c in y) or sum(y) % 4:
-        return None
-    return y
+    y = linalg.exact_ints(y, "doubled Gamma16 coordinates")
+    if len(y) != 16:
+        raise BadInputError("a doubled Gamma16 vector has 16 coordinates")
+    return all((c - y[0]) % 2 == 0 for c in y) and sum(y) % 4 == 0
 
 
-def gamma16_contains(x) -> bool:
-    """Membership test for Gamma16 in ambient coordinates."""
-    return _gamma16_doubled(x) is not None
+def gamma16_coordinates_doubled(y) -> list[int]:
+    """Coordinates of y / 2 in the Gamma16 integral basis, for y = 2x in Z^16.
 
-
-def gamma16_coordinates(x) -> list[int]:
-    """Express an ambient vector in the Gamma16 integral basis."""
-    y = _gamma16_doubled(x)
-    if y is None:
+    Back-substitution: only the half-sum h has an e_1 entry, so its
+    coefficient is y_1, and z = (y - y_1) / 2 = x - y_1 h lies in D16.  The
+    coefficient of e_i - e_{i+1} (i = 2..14) is z_2 + ... + z_i.  The pair
+    e_15 - e_16, e_15 + e_16 shares s = z_2 + ... + z_15 and differs by z_16,
+    so its coefficients are (s - z_16) / 2 and (s + z_16) / 2, exact since
+    s + z_16 = sum(z) is even.  One ``require`` checks that they give y back.
+    """
+    y = linalg.exact_ints(y, "doubled Gamma16 coordinates")
+    if not gamma16_contains_doubled(y):
         raise BadInputError("vector is not in Gamma16")
-    inverse, den = _gamma16_doubled_inverse()
-    coords = [divmod(linalg.dot(row, y), den) for row in inverse]
-    bad = [str(Fraction(q * den + r, den)) for q, r in coords if r]
-    require(not bad, f"Gamma16 coordinates {bad} of a Gamma16 vector are not integral")
-    return [q for q, _ in coords]
-
-
-@functools.cache
-def _gamma16_doubled_inverse() -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, den) with N / den the inverse of the matrix whose columns are the doubled basis."""
-    inv = linalg.rational_inverse(linalg.transpose(_gamma16_doubled_basis()))
-    den = math.lcm(*(c.denominator for row in inv for c in row))
-    return tuple(tuple(int(c * den) for c in row) for row in inv), den
+    z = [(c - y[0]) // 2 for c in y]
+    partial = list(itertools.accumulate(z[1:15]))
+    s = partial[-1]
+    coords = partial[:13] + [(s - z[15]) // 2, (s + z[15]) // 2, y[0]]
+    back = linalg.mat_mul([coords], _gamma16_doubled_basis())[0]
+    require(back == y, f"Gamma16 coordinates {coords} give 2x = {back}, not {y}")
+    return coords
 
 
 _STANDARD_KINDS = ("U", "E8", "An", "rank1", "NikulinN", "Gamma16")

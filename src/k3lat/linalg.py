@@ -8,8 +8,9 @@ symmetric (Bareiss) elimination gives a Gram matrix's signature, its
 determinant (the last pivot) and the pivot rows that bound the short-vector
 search; the general Bareiss determinant serves non-symmetric coordinate
 matrices; Hermite and Smith normal forms use integer row and column
-operations.  Every Bareiss division is exact.  Only ``rational_inverse``
-works over Q.
+operations.  Every Bareiss division is exact.  ``clear_denominators`` is
+the one place a rational vector becomes integers.  Only ``rational_inverse``
+works over Q; only the tests call it, as an oracle.
 
 The products (``mat_mul``, ``mat_vec``, ``dot`` with a Gram and
 ``pairing_matrix``) skip zero entries, since the push/pull matrices, the
@@ -21,6 +22,7 @@ zeros comes back as an int: compare results with ``==`` and divide them with
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import BadInputError, DegenerateGramError, require
@@ -38,6 +40,28 @@ def exact_ints(values, what: str) -> list[int]:
     if ints != values:
         raise BadInputError(f"{what} must be integers")
     return ints
+
+
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(den, den * values) on ints, with den the least denominator that clears them.
+
+    Ints and Fractions are read through ``numerator``/``denominator``, building
+    no Fraction; other entries go through ``Fraction`` once ("1/2" is exact).
+    """
+    try:
+        values = list(values)
+    except TypeError as exc:
+        raise BadInputError("expected a vector of exact rationals") from exc
+    for k, x in enumerate(values):
+        if not isinstance(x, (int, Fraction)):
+            if isinstance(x, float):
+                raise BadInputError(f"entry {x!r} is a float, not an exact rational")
+            try:
+                values[k] = Fraction(x)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise BadInputError(f"entry {x!r} is not an exact rational") from exc
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 def identity_matrix(n: int) -> IntMatrix:

@@ -87,6 +87,13 @@ def test_element_of_rejects_non_dual_vectors():
         form.element_of([F(1, 3), 0])
 
 
+def test_element_of_refuses_floats():
+    form = discriminant_form(hyperbolic_plane(2))
+    assert form.element_of([F(1, 2), 0]) == form.element_of(["1/2", 0])
+    with pytest.raises(BadInputError, match="float"):
+        form.element_of([0.5, 0])
+
+
 def test_lift_and_element_roundtrip():
     form = discriminant_form(direct_sum([rank_one(4), nikulin()]))
     for x in form.elements():

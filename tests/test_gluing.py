@@ -98,7 +98,9 @@ def test_non_dual_vector_rejected():
         glue(GlueData.of(hyperbolic_plane(2), [[F(1, 3), 0]]))
 
 
-@pytest.mark.parametrize("vectors", [[["a", 0]], [5], [["1/0", 0]]], ids=["str", "int", "1/0"])
+@pytest.mark.parametrize(
+    "vectors", [[["a", 0]], [5], [["1/0", 0]], [[0.1, 0]]], ids=["str", "int", "1/0", "float"]
+)
 def test_malformed_glue_vectors_rejected(vectors):
     with pytest.raises(BadInputError):
         GlueData.of(hyperbolic_plane(2), vectors)
@@ -146,7 +148,7 @@ def test_is_primitive_examples():
 def test_embedding_report(monkeypatch):
     # raises unless isometric, inside Gamma16 and with both factors primitive
     assert nikulin_square_in_gamma16() == 2 ** 6
-    monkeypatch.setattr(gluing, "gamma16_contains", lambda v: False)
+    monkeypatch.setattr(gluing, "gamma16_contains_doubled", lambda y: False)
     with pytest.raises(CheckFailed, match="image 0 is not in Gamma16"):
         nikulin_square_in_gamma16()
     monkeypatch.undo()

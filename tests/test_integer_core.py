@@ -8,6 +8,7 @@ inverse of the overlattice basis, Fraction LDL^T elimination, the rational
 Cholesky short-vector search, Fraction dot products and Euclid over Fractions.
 """
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +35,7 @@ from k3lat import (
     glue,
     hyperbolic_plane,
     nikulin,
+    nikulin_square_in_gamma16,
     rank_one,
 )
 from k3lat import lattice, linalg, polyfactor
@@ -121,7 +123,7 @@ def test_element_of_rejects_wrong_length():
         ("add", [(1,), (1,) * 6]),
         ("add", [(1,) * 7, (1,) * 6]),
         ("reduce", [[1, 2, 3]]),
-        ("neg", [(1,) * 7]),
+        ("scale", [3, (1,) * 7]),
         ("scale", [3, (1,)]),
     ],
 )
@@ -475,6 +477,76 @@ def test_gamma16_gram_is_the_fraction_dot_products():
     assert all(d.denominator == 1 for row in dots for d in row)
     assert gamma16().gram == tuple(tuple(int(d) for d in row) for row in dots)
     assert gamma16(-1).gram == tuple(tuple(-int(d) for d in row) for row in dots)
+
+
+RATIONALS = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),  # integral ones too
+)
+
+
+@contextlib.contextmanager
+def _fractions_built():
+    """The argument tuples of every Fraction built inside the block."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", counting_new)
+        yield built
+
+
+@given(st.lists(RATIONALS, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_clear_denominators_matches_fraction_oracle(values):
+    with _fractions_built() as built:
+        den, ints = linalg.clear_denominators(values)
+    assert built == []  # ints and Fractions are read, never rebuilt
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x, den) for x in ints] == [Fraction(v) for v in values]
+    # den is least: it clears every entry and no den / p does
+    for p in sympy.primefactors(den):
+        assert any((Fraction(v) * (den // p)).denominator != 1 for v in values)
+
+
+def test_clear_denominators_reads_text_and_refuses_floats():
+    assert linalg.clear_denominators([]) == (1, [])
+    assert linalg.clear_denominators(["1/2", True, Fraction(-2, 3)]) == (6, [3, 6, -4])
+    for bad in ([0.5], [1, float("nan")], ["x"], [None], ["1/0"], 5):
+        with pytest.raises(BadInputError, match="exact rational"):
+            linalg.clear_denominators(bad)
+
+
+def test_gamma16_embedding_builds_no_fraction():
+    with _fractions_built() as built:
+        assert nikulin_square_in_gamma16() == 2 ** 6
+    assert built == []
+
+
+def _gamma16_oracle_coordinates(y):
+    """Coordinates of y / 2 through the inverse of the Fraction basis matrix."""
+    inverse = linalg.rational_inverse(linalg.transpose(gamma16_basis_vectors()))
+    return linalg.mat_vec(inverse, [Fraction(c, 2) for c in y])
+
+
+@given(st.lists(st.integers(-6, 6), min_size=16, max_size=16))
+@settings(max_examples=60, deadline=None)
+def test_gamma16_back_substitution_matches_rational_inverse(coords):
+    basis = gamma16_basis_vectors()
+    y = [int(2 * sum(c * v[j] for c, v in zip(coords, basis))) for j in range(16)]
+    assert lattice.gamma16_contains_doubled(y)
+    assert lattice.gamma16_coordinates_doubled(y) == _gamma16_oracle_coordinates(y) == coords
+
+
+@given(st.lists(st.integers(-4, 4), min_size=16, max_size=16))
+@settings(max_examples=60, deadline=None)
+def test_gamma16_membership_matches_rational_inverse(y):
+    integral = all(Fraction(c).denominator == 1 for c in _gamma16_oracle_coordinates(y))
+    assert lattice.gamma16_contains_doubled(y) == integral
 
 
 def _fraction_euclid_gcd(a, b):

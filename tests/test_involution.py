@@ -169,6 +169,15 @@ def test_push_and_pull_reject_non_integral_entries(model):
         model.pull([0] * 21 + [F(-1, 2)])
 
 
+def test_overlattice_membership_refuses_floats(model):
+    w = [F(1, 2)] + [0] * 5 + [0, 0, 0, F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), 1] + [0] * 8
+    assert model.contains_in_overlattice(w)
+    assert not model.contains_in_overlattice([F(1, 2)] + [0] * 21)
+    for method in (model.contains_in_overlattice, model.pull_extended):
+        with pytest.raises(BadInputError, match="float"):
+            method([0.5] + [0] * 21)
+
+
 def test_pull_extended_rejects_outside_vectors(model):
     w = [F(1, 2)] + [0] * 21  # e_1/2 alone is not in the glued lattice
     with pytest.raises(BadInputError):

@@ -6,6 +6,7 @@ import pytest
 
 from k3lat import (
     BadInputError,
+    CheckFailed,
     DegenerateGramError,
     IsotropicComplementError,
     Lattice,
@@ -15,8 +16,8 @@ from k3lat import (
     e8,
     enumerate_vectors_of_norm,
     gamma16,
-    gamma16_contains,
-    gamma16_coordinates,
+    gamma16_contains_doubled,
+    gamma16_coordinates_doubled,
     hyperbolic_plane,
     nikulin,
     nikulin_node_coords,
@@ -25,6 +26,7 @@ from k3lat import (
     standard_lattice,
     sublattice_index,
 )
+from k3lat import lattice
 from k3lat.involution import k3_lattice, swap_involution, invariant_and_antiinvariant
 from fractions import Fraction
 from oracles import gamma16_basis_vectors
@@ -67,24 +69,38 @@ def test_gamma16_is_even_unimodular():
 
 
 def test_gamma16_membership():
-    half = [Fraction(1, 2)] * 16
-    assert gamma16_contains(half)
-    assert not gamma16_contains([Fraction(1, 2)] * 15 + [Fraction(-1, 2)])  # odd sum
-    assert not gamma16_contains([Fraction(1, 2)] + [Fraction(0)] * 15)  # mixed parity
-    e1me2 = [1, -1] + [0] * 14
-    assert gamma16_contains(e1me2)
-    odd = [1] + [0] * 15
-    assert not gamma16_contains(odd)
+    # y = 2x, so the half-sum (1/2, ..., 1/2) is [1] * 16
+    half = [1] * 16
+    assert gamma16_contains_doubled(half)
+    assert not gamma16_contains_doubled([1] * 15 + [-1])  # odd sum
+    assert not gamma16_contains_doubled([1] + [0] * 15)  # mixed parity
+    e1me2 = [2, -2] + [0] * 14
+    assert gamma16_contains_doubled(e1me2)
+    odd = [2] + [0] * 15
+    assert not gamma16_contains_doubled(odd)
 
 
 def test_gamma16_coordinates_roundtrip():
     basis = gamma16_basis_vectors()
-    half = [Fraction(1, 2)] * 16
-    coords = gamma16_coordinates(half)
+    half = [1] * 16
+    coords = gamma16_coordinates_doubled(half)
     rebuilt = [sum(c * basis[i][j] for i, c in enumerate(coords)) for j in range(16)]
-    assert rebuilt == half
+    assert rebuilt == [Fraction(c, 2) for c in half]
     with pytest.raises(BadInputError):
-        gamma16_coordinates([1] + [0] * 15)
+        gamma16_coordinates_doubled([2] + [0] * 15)
+
+
+def test_gamma16_back_check_catches_a_swapped_last_pair(monkeypatch):
+    # 2 (e_15 - e_16): coefficient 1 on e_15 - e_16 and 0 on e_15 + e_16
+    y = [0] * 14 + [2, -2]
+    assert gamma16_coordinates_doubled(y)[13:15] == [1, 0]
+    # swapping the two basis rows the back-check multiplies by is the same as
+    # swapping the split (s - z_16) / 2, (s + z_16) / 2 of the last pair
+    basis = lattice._gamma16_doubled_basis()
+    basis[13], basis[14] = basis[14], basis[13]
+    monkeypatch.setattr(lattice, "_gamma16_doubled_basis", lambda: basis)
+    with pytest.raises(CheckFailed, match="Gamma16 coordinates"):
+        gamma16_coordinates_doubled(y)
 
 
 def test_standard_lattice_dispatch_and_errors():
