@@ -37,7 +37,6 @@ from .lattice import (
     nikulin_node_coords,
     orthogonal_complement,
     rank_one,
-    root_span_index,
     standard_lattice,
     sublattice_index,
 )

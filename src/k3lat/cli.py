@@ -175,9 +175,7 @@ def _cmd_k3_push(ns):
 
 def _cmd_k3_pull(ns):
     vec = _fraction_entries(_parse_json(ns.vector))
-    model = QuotientCohomology()
-    out = model.pull_extended(vec) if ns.extended else model.pull(vec)
-    return {"vector": out}, []
+    return {"vector": QuotientCohomology().pull(vec)}, []
 
 
 def _cmd_ns_classify(ns):
@@ -226,7 +224,7 @@ def _cmd_ell_quotient(ns):
 
 
 def _cmd_ell_shioda_tate(ns):
-    rank, disc = shioda_tate(parse_fiber_list(ns.fibers), ns.torsion, ns.mw)
+    rank, disc = shioda_tate(parse_fiber_list(ns.fibers), ns.torsion)
     return {"picard_rank": rank, "ns_discriminant": decimal(disc)}, []
 
 
@@ -298,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     push.add_argument("--vector", required=True, help="JSON list of 30 integers")
     push.set_defaults(handler=_cmd_k3_push)
     pull = ksub.add_parser("pull", help="pull a 22-coordinate vector")
-    pull.add_argument("--vector", required=True, help="JSON list of 22 entries")
-    pull.add_argument("--extended", action="store_true",
-                      help="allow rational entries in the glued lattice")
+    pull.add_argument("--vector", required=True, help="JSON list of 22 exact rationals")
     pull.set_defaults(handler=_cmd_k3_pull)
 
     ns_p = sub.add_parser("ns", help="rank-9 families and numerical invariants")
@@ -329,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     st = esub.add_parser("shioda-tate", help="Picard rank and NS discriminant")
     st.add_argument("--fibers", required=True, help='e.g. "I2:8,I1:8"')
     st.add_argument("--torsion", type=int, required=True)
-    st.add_argument("--mw", type=int, default=0)
     st.set_defaults(handler=_cmd_ell_shioda_tate)
 
     vp = sub.add_parser("verify-paper", help="run the full acceptance suite")

@@ -422,16 +422,14 @@ def parse_fiber_list(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def shioda_tate(fibers, torsion_order: int, mw_rank: int = 0) -> tuple[int, Fraction]:
+def shioda_tate(fibers, torsion_order: int) -> tuple[int, Fraction]:
     """Picard rank and |NS discriminant| from multiplicative fiber data.
 
-    fibers is a list of (n, count) pairs for I_n fibers.  Only Mordell-Weil
-    rank 0 is supported; then |disc NS| = (prod n_v) / torsion^2.  A
-    discriminant with more digits than Python prints raises UnsupportedError
+    fibers is a list of (n, count) pairs for I_n fibers.  The fibration is
+    assumed to have Mordell-Weil rank 0, so |disc NS| = (prod n_v) / torsion^2.
+    A discriminant with more digits than Python prints raises UnsupportedError
     before the product is formed.
     """
-    if mw_rank != 0:
-        raise UnsupportedError("nonzero Mordell-Weil rank is out of scope")
     if torsion_order < 1:
         raise BadInputError("torsion order must be at least 1")
     rank = 2

@@ -9,7 +9,8 @@ The transfer maps are
     push:  (u, x, y, z) -> (u, z, x + y)     (z_i E_i read as z_i N_i)
     pull:  (u, n, x)    -> (2u, x, x, 2n~)   (n = sum n_i N_i, n~ = sum n_i E_i)
 
-with pull extended to the whole unimodular Y-side lattice by w -> pull(2w)/2.
+with the one pull defined on the whole unimodular Y-side lattice by
+w -> pull(2w)/2, so it takes any integral or rational vector of that lattice.
 """
 
 from __future__ import annotations
@@ -204,13 +205,6 @@ class QuotientCohomology:
             raise BadInputError("push expects 30 coordinates")
         return linalg.mat_vec(self.push_matrix, v)
 
-    def pull(self, w) -> list[int]:
-        """pull-back of a vector of U(2)^3 + N + E8(-1) (22 coords)."""
-        w = linalg.exact_ints(w, "pull coordinates")
-        if len(w) != 22:
-            raise BadInputError("pull expects 22 coordinates")
-        return linalg.mat_vec(self.pull_matrix, w)
-
     def contains_in_overlattice(self, w) -> bool:
         """Membership of a rational vector (22 coords) in the full Y lattice."""
         return self._scaled_in_overlattice(w) is not None
@@ -228,20 +222,21 @@ class QuotientCohomology:
         coords = [sum(ints[i] * inc[i][j] for i in range(14)) for j in range(14)]
         return None if any(c % den for c in coords) else (den, ints)
 
-    def pull_extended(self, w) -> list[int]:
-        """pull on the whole Y lattice: pull(2w)/2, integral by construction.
+    def pull(self, w) -> list[int]:
+        """pull-back of a vector of the glued Y lattice (22 int or rational coords).
 
-        The glue group is 2-elementary, so 2w is integral; pull(2w) must then
-        be even.  Both are required, and the arithmetic stays on ints.
+        It is w -> pull(2w)/2, computed as pull(den w)/den with den the least
+        denominator of w.  The glue group is 2-elementary, so den divides 2 and
+        pull(2w) is even; both are required, and the arithmetic stays on ints.
         """
         scaled = self._scaled_in_overlattice(w)
         if scaled is None:
             raise BadInputError("vector is not in the glued Y-side lattice")
         den, ints = scaled
-        require(2 % den == 0, f"2 * {w} is not integral")
-        pulled = linalg.mat_vec(self.pull_matrix, [x * (2 // den) for x in ints])
-        require(all(x % 2 == 0 for x in pulled), f"extended pull of {w} left the lattice")
-        return [x // 2 for x in pulled]
+        pulled = linalg.mat_vec(self.pull_matrix, ints)
+        require(2 % den == 0 and all(x % den == 0 for x in pulled),
+                "pull(2w) of a vector w of the glued Y lattice is not even")
+        return [x // den for x in pulled]
 
     # -- verification ---------------------------------------------------------
 

@@ -415,14 +415,14 @@ def orthogonal_complement(lattice: Lattice, vectors):
 
 
 def sublattice_index(lattice: Lattice, vectors) -> int:
-    """Index of the finite-index sublattice spanned by ``vectors``."""
+    """Index of the finite-index sublattice spanned by ``vectors``, redundant or not."""
     vecs = [linalg.exact_ints(v, "vector coordinates") for v in vectors]
-    if len(vecs) != lattice.rank or any(len(v) != lattice.rank for v in vecs):
-        raise BadInputError("need a square coordinate matrix")
-    det = linalg.bareiss_determinant(vecs)
-    if det == 0:
-        raise BadInputError("sublattice is not of finite index (singular matrix)")
-    return abs(det)
+    if any(len(v) != lattice.rank for v in vecs):
+        raise BadInputError(f"vectors must have {lattice.rank} coordinates")
+    hnf = linalg.hermite_normal_form(vecs)
+    if len(hnf) != lattice.rank:
+        raise BadInputError("the vectors do not span a finite-index sublattice")
+    return math.prod(row[i] for i, row in enumerate(hnf))
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +498,3 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
     results = [v for v in results if any(v)]
     results.sort()
     return results
-
-
-def root_span_index(lattice: Lattice, roots) -> int:
-    """Index of the sublattice generated by ``roots`` (must be full rank)."""
-    hnf = linalg.hermite_normal_form([list(r) for r in roots])
-    if len(hnf) != lattice.rank:
-        raise BadInputError("roots do not span a finite-index sublattice")
-    idx = 1
-    for i, row in enumerate(hnf):
-        idx *= row[i]
-    return abs(idx)

@@ -6,11 +6,12 @@ rows; a "vector" is a flat list of coordinates.  No floating point is used
 anywhere in the package.  The kernels run on ints: one fraction-free
 symmetric (Bareiss) elimination gives a Gram matrix's signature, its
 determinant (the last pivot) and the pivot rows that bound the short-vector
-search; the general Bareiss determinant serves non-symmetric coordinate
-matrices; Hermite and Smith normal forms use integer row and column
+search; Hermite and Smith normal forms use integer row and column
 operations.  Every Bareiss division is exact.  ``clear_denominators`` is
-the one place a rational vector becomes integers.  Only ``rational_inverse``
-works over Q; only the tests call it, as an oracle.
+the one place a rational vector becomes integers.  Two routines have no
+caller in the package: ``rational_inverse``, the one that works over Q, and
+the general ``bareiss_determinant``; the tests call both as oracles, and
+perfbench's tracer counts their calls.
 
 The products (``mat_mul``, ``mat_vec``, ``dot`` with a Gram and
 ``pairing_matrix``) skip zero entries, since the push/pull matrices, the
@@ -47,7 +48,10 @@ def clear_denominators(values) -> tuple[int, list[int]]:
 
     Ints and Fractions are read through ``numerator``/``denominator``, building
     no Fraction; other entries go through ``Fraction`` once ("1/2" is exact).
+    A str or bytes is refused rather than read as a vector of its characters.
     """
+    if isinstance(values, (str, bytes)):
+        raise BadInputError(f"expected a vector of exact rationals, got {type(values).__name__}")
     try:
         values = list(values)
     except TypeError as exc:

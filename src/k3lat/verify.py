@@ -55,7 +55,7 @@ from .lattice import (
     hyperbolic_plane,
     nikulin,
     rank_one,
-    root_span_index,
+    sublattice_index,
 )
 from .nsfamilies import (
     _MODULI_EXAMPLES,
@@ -100,7 +100,7 @@ def check_gamma16_glue() -> dict:
     require(over.glue_order == 64, f"N + N glue: index {over.glue_order} != 2^6")
     roots = enumerate_vectors_of_norm(lat, -2)
     require(len(roots) == 480, f"N + N glue: root count {len(roots)} != 480")
-    idx = root_span_index(lat, roots)
+    idx = sublattice_index(lat, roots)
     require(idx == 2, f"N + N glue: root span index {idx} != 2 (it would be root-generated)")
     gamma = lattice_fingerprint(gamma16(-1))
     require(lattice_fingerprint(lat) == gamma, "N + N glue: the fingerprint is not Gamma16(-1)'s")
@@ -124,7 +124,7 @@ def check_transfer_maps() -> dict:
     report = model.adjunction_report()
     fp = report["y_full_fingerprint"]
     require((fp.rank, fp.signature, fp.determinant) == (22, (3, 19), -1), f"glued Y lattice {fp}")
-    glue_image = model.pull_extended(
+    glue_image = model.pull(
         [Fraction(1, 2), 0, 0, 0, 0, 0]
         + [0, 0, 0, Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2), 1]
         + [0] * 8
@@ -133,10 +133,10 @@ def check_transfer_maps() -> dict:
     expected[0] = 1
     for i in (22, 23, 24, 29):
         expected[i] = 1
-    require(glue_image == expected, f"extended pull of the glue vector gave {glue_image}")
+    require(glue_image == expected, f"pull of the glue vector gave {glue_image}")
     nhat = [0] * 22
     nhat[13] = 1
-    require(model.pull_extended(nhat) == [0] * 22 + [1] * 8, "pull of N-hat != E_1 + ... + E_8")
+    require(model.pull(nhat) == [0] * 22 + [1] * 8, "pull of N-hat != E_1 + ... + E_8")
     return {"checks": report["checks"], "str": report["str"]}
 
 

@@ -6,9 +6,11 @@ The tracer is only read here: its name lists are resolved, never installed.
 
 import importlib
 import importlib.util
+import itertools
+import json
 from pathlib import Path
 
-from k3lat import verify
+from k3lat import cli, verify
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,6 +24,9 @@ def _load(name):
 
 spans = _load("spans")
 paper = _load("paper")
+# loading these resolves every k3lat name they import
+cli_oneshot = _load("cli_oneshot")
+lattice_stream = _load("lattice_stream")
 
 
 def _resolves(qualname) -> bool:
@@ -41,3 +46,14 @@ def test_every_traced_name_resolves():
 
 def test_paper_workload_accepts_a_pass():
     assert paper.Paper(0).check(0, verify.run_all(0)) == []
+
+
+def test_cli_oneshot_reference_matches_the_cli_in_process():
+    # one seeded draw of each command, checked as the workload checks a child's
+    # output: exit 0 and the payload of the direct library calls
+    draws = itertools.islice(cli_oneshot.CliOneshot(1).inputs(), len(cli_oneshot.COMMANDS))
+    for args in draws:
+        result = cli.run(args)
+        assert result.exit_code == 0, (args, result.diagnostics)
+        expected = json.loads(json.dumps(cli_oneshot.reference(args)))
+        assert json.loads(json.dumps(result.payload)) == expected, args

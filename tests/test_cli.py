@@ -175,7 +175,7 @@ def test_k3_push_and_pull():
 def test_k3_pull_extended():
     vec = ["0"] * 22
     vec[13] = "1"
-    payload = _ok(["k3", "pull", "--vector", json.dumps(vec), "--extended"])
+    payload = _ok(["k3", "pull", "--vector", json.dumps(vec)])
     assert payload["vector"] == [0] * 22 + [1] * 8
 
 
@@ -253,12 +253,6 @@ def test_ell_shioda_tate():
     assert payload == {"picard_rank": 10, "ns_discriminant": "64"}
 
 
-def test_ell_shioda_tate_mw_unsupported():
-    result = run(["ell", "shioda-tate", "--fibers", "I2:8", "--torsion", "2", "--mw", "1"])
-    assert result.exit_code == 1
-    assert result.error_code == "unsupported"
-
-
 _PUSH_HALF = json.dumps([1.5] + [0] * 29)
 
 
@@ -284,7 +278,7 @@ def _assert_error_envelope(argv, exit_code, code, capsys):
         (["ell", "shioda-tate", "--fibers", "I2:x", "--torsion", "2"], None),
         (["k3", "push", "--vector", '{"a": 1}'], None),
         (["k3", "push", "--vector", "5"], None),
-        (["k3", "pull", "--extended", "--vector", '["1/0"]'], None),
+        (["k3", "pull", "--vector", '["1/0"]'], None),
         (["k3", "push", "--vector", _PUSH_HALF], None),
         (["ell", "fibers", "--a=1,,2", "--b=1,0,0,0,0,0,0,0,1"], None),
         (["ell", "fibers", "--a=,1", "--b=1,0,0,0,0,0,0,0,1"], None),

@@ -32,13 +32,13 @@ COMMANDS = {
     ("glue",): ("--base", "--vectors"),
     ("k3", "maps"): (),
     ("k3", "push"): ("--vector",),
-    ("k3", "pull"): ("--vector", "--extended"),
+    ("k3", "pull"): ("--vector",),
     ("ns", "classify"): ("--L2",),
     ("ns", "moduli"): ("--example",),
     ("ns", "obstruction"): ("--rankT",),
     ("ell", "fibers"): ("--a", "--b"),
     ("ell", "quotient"): ("--a", "--b"),
-    ("ell", "shioda-tate"): ("--fibers", "--torsion", "--mw"),
+    ("ell", "shioda-tate"): ("--fibers", "--torsion"),
     ("lattice",): (),
     ("frobnicate",): (),
     (): (),
@@ -93,7 +93,7 @@ def invocations(draw):
         flags.append(draw(st.sampled_from(FLAGS)))  # sometimes a stray one
     for flag in draw(st.permutations(flags)):
         argv.append(flag)
-        switch = flag in ("--extended", "--json") or (
+        switch = flag == "--json" or (
             flag == "--vectors" and command == ("lattice", "roots")
         )
         if not switch:

@@ -92,6 +92,8 @@ def test_element_of_refuses_floats():
     assert form.element_of([F(1, 2), 0]) == form.element_of(["1/2", 0])
     with pytest.raises(BadInputError, match="float"):
         form.element_of([0.5, 0])
+    with pytest.raises(BadInputError):
+        form.element_of("10")  # text is not read as a vector of its characters
 
 
 def test_lift_and_element_roundtrip():

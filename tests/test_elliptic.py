@@ -337,9 +337,7 @@ def test_shioda_tate_trivial_configuration():
     assert (rank, disc) == (2, F(1))
 
 
-def test_shioda_tate_rejects_mw_rank_and_bad_input():
-    with pytest.raises(UnsupportedError):
-        shioda_tate([(2, 8)], torsion_order=2, mw_rank=1)
+def test_shioda_tate_rejects_bad_input():
     with pytest.raises(BadInputError):
         shioda_tate([(0, 3)], torsion_order=1)
     with pytest.raises(BadInputError):

@@ -22,7 +22,7 @@ from k3lat import (
     nikulin_square_in_gamma16,
     nikulin_square_overlattice,
     rank_one,
-    root_span_index,
+    sublattice_index,
     u2cubed_nikulin_overlattice,
 )
 from k3lat import gluing, linalg
@@ -99,7 +99,9 @@ def test_non_dual_vector_rejected():
 
 
 @pytest.mark.parametrize(
-    "vectors", [[["a", 0]], [5], [["1/0", 0]], [[0.1, 0]]], ids=["str", "int", "1/0", "float"]
+    "vectors",
+    [[["a", 0]], [5], [["1/0", 0]], [[0.1, 0]], ["10"]],
+    ids=["str", "int", "1/0", "float", "text-vector"],
 )
 def test_malformed_glue_vectors_rejected(vectors):
     with pytest.raises(BadInputError):
@@ -120,7 +122,7 @@ def test_gamma16_not_generated_by_roots():
     over = nikulin_square_overlattice()
     roots = enumerate_vectors_of_norm(over.lattice, -2)
     assert len(roots) == 480
-    assert root_span_index(over.lattice, roots) == 2
+    assert sublattice_index(over.lattice, roots) == 2
 
 
 def test_nikulin_factors_primitive_in_glued_overlattice():

@@ -516,7 +516,7 @@ def test_clear_denominators_matches_fraction_oracle(values):
 def test_clear_denominators_reads_text_and_refuses_floats():
     assert linalg.clear_denominators([]) == (1, [])
     assert linalg.clear_denominators(["1/2", True, Fraction(-2, 3)]) == (6, [3, 6, -4])
-    for bad in ([0.5], [1, float("nan")], ["x"], [None], ["1/0"], 5):
+    for bad in ([0.5], [1, float("nan")], ["x"], [None], ["1/0"], 5, "10", b"10"):
         with pytest.raises(BadInputError, match="exact rational"):
             linalg.clear_denominators(bad)
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
@@ -141,7 +143,7 @@ def test_pull_is_diagonal_on_e8_and_doubles_u(model):
 
 def test_pull_extended_on_glue_vector(model):
     w = [F(1, 2)] + [0] * 5 + [0, 0, 0, F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), 1] + [0] * 8
-    out = model.pull_extended(w)
+    out = model.pull(w)
     expected = [0] * 30
     expected[0] = 1
     for i in (22, 23, 24, 29):
@@ -152,13 +154,33 @@ def test_pull_extended_on_glue_vector(model):
 def test_pull_extended_on_nhat(model):
     w = [0] * 22
     w[13] = 1  # Nhat
-    assert model.pull_extended(w) == [0] * 22 + [1] * 8
+    assert model.pull(w) == [0] * 22 + [1] * 8
 
 
-def test_pull_extended_agrees_with_pull_on_sublattice(model):
-    w = [0] * 22
-    w[2], w[7], w[16] = 1, -2, 3
-    assert model.pull_extended(w) == model.pull(w)
+@given(st.lists(st.integers(-9, 9), min_size=22, max_size=22))
+@settings(max_examples=50, deadline=None)
+def test_pull_extended_agrees_with_pull_on_sublattice(model, w):
+    # on integral w, a vector of U(2)^3 + N + E8(-1), no halving is needed
+    assert model.pull(w) == linalg.mat_vec(model.pull_matrix, w)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=14, max_size=14),
+    st.lists(st.integers(-3, 3), min_size=14, max_size=14),
+    st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+)
+@settings(max_examples=50, deadline=None)
+def test_pull_on_the_glued_lattice_doubles_the_form(model, a, b, e8_parts):
+    # v and w are integer combinations of the overlattice basis, plus an
+    # integral E8(-1) part: every vector of the glued Y lattice is one such
+    basis = model.overlattice.basis_in_base
+    v, w = (
+        [sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(14)] + list(e8_part)
+        for coeffs, e8_part in ((a, e8_parts[:8]), (b, e8_parts[8:]))
+    )
+    pv, pw = model.pull(v), model.pull(w)
+    assert all(type(x) is int for x in pv + pw)
+    assert model.blowup.inner(pv, pw) == 2 * model.y_sub.inner(v, w)
 
 
 def test_push_and_pull_reject_non_integral_entries(model):
@@ -173,15 +195,18 @@ def test_overlattice_membership_refuses_floats(model):
     w = [F(1, 2)] + [0] * 5 + [0, 0, 0, F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), 1] + [0] * 8
     assert model.contains_in_overlattice(w)
     assert not model.contains_in_overlattice([F(1, 2)] + [0] * 21)
-    for method in (model.contains_in_overlattice, model.pull_extended):
+    for method in (model.contains_in_overlattice, model.pull):
         with pytest.raises(BadInputError, match="float"):
             method([0.5] + [0] * 21)
+        for text in ("0" * 22, "1" * 22):  # not read as a vector of its characters
+            with pytest.raises(BadInputError):
+                method(text)
 
 
 def test_pull_extended_rejects_outside_vectors(model):
     w = [F(1, 2)] + [0] * 21  # e_1/2 alone is not in the glued lattice
     with pytest.raises(BadInputError):
-        model.pull_extended(w)
+        model.pull(w)
 
 
 def test_adjunction_report(model):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
@@ -19,6 +21,7 @@ from k3lat import (
     gamma16_contains_doubled,
     gamma16_coordinates_doubled,
     hyperbolic_plane,
+    minus_one_sum,
     nikulin,
     nikulin_node_coords,
     orthogonal_complement,
@@ -26,7 +29,7 @@ from k3lat import (
     standard_lattice,
     sublattice_index,
 )
-from k3lat import lattice
+from k3lat import lattice, linalg
 from k3lat.involution import k3_lattice, swap_involution, invariant_and_antiinvariant
 from fractions import Fraction
 from oracles import gamma16_basis_vectors
@@ -256,11 +259,9 @@ def test_enumeration_against_box_scan():
 
 
 def test_gamma16_root_system():
-    from k3lat import root_span_index
-
     roots = enumerate_vectors_of_norm(gamma16(-1), -2)
     assert len(roots) == 480  # the D-type rank-16 root system
-    assert root_span_index(gamma16(-1), roots) == 2
+    assert sublattice_index(gamma16(-1), roots) == 2
 
 
 def test_enumeration_deterministic():
@@ -276,12 +277,26 @@ def test_sublattice_index():
     assert sublattice_index(u, [[2, 0], [0, 2]]) == 4
     nodes = [nikulin_node_coords(i) for i in range(1, 9)]
     assert sublattice_index(nikulin(), nodes) == 2
-    with pytest.raises(BadInputError):
-        sublattice_index(u, [[1, 0], [2, 0]])
-    with pytest.raises(BadInputError):
-        sublattice_index(u, [[Fraction(1, 2), 0], [0, 2]])
+    assert sublattice_index(u, [[1, 0], [0, 2], [0, 3]]) == 1  # a redundant family
+    for bad in ([[1, 0], [2, 0]], [[1, 0], [0, 1, 0]], [[Fraction(1, 2), 0], [0, 2]], []):
+        with pytest.raises(BadInputError):
+            sublattice_index(u, bad)
     with pytest.raises(BadInputError):
         orthogonal_complement(u, [[Fraction(1, 2), 0]])
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_sublattice_index_of_a_square_basis_is_its_determinant(basis):
+    det = linalg.bareiss_determinant(basis)
+    assume(det != 0)
+    assert sublattice_index(minus_one_sum(len(basis)), basis) == abs(det)
 
 
 def test_json_roundtrip_bit_identical():
