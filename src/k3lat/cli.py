@@ -5,41 +5,53 @@ Subcommands: lattice, disc, glue, k3, ns, ell, verify-paper.  Output is JSON;
 Exit codes: 0 ok, 1 domain error or failed check (with a machine-readable
 code), 2 usage error, 3 malformed JSON input.  Output is deterministic for
 fixed input; the seeded checks take ``--seed``.
+
+A process executes only the layer modules its command uses: importing this
+module registers each layer in ``sys.modules`` through
+``importlib.util.LazyLoader``, and a layer runs on the first attribute read
+(``lattice info`` runs ``errors``, ``linalg`` and ``lattice``; ``verify-paper``
+runs all of them).  Registering, rather than importing inside the handlers,
+keeps ``sys.modules["k3lat.<layer>"]`` filled for code outside the package
+that reads the layers from there after ``import k3lat.cli``.  The parser's
+choices and defaults live in ``lattice``, which every command runs anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .errors import BadInputError, JsonInputError, K3LatError, decimal
-from .lattice import (
-    _STANDARD_KINDS,
-    Lattice,
-    enumerate_vectors_of_norm,
-    standard_lattice,
+
+
+def _lazy(name: str):
+    """``k3lat.<name>``, registered in ``sys.modules`` now and executed on first attribute access.
+
+    A module something has imported already is returned as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)  # as an import of the submodule would
+    return module
+
+
+# every layer module, so ``from . import linalg, polyfactor`` inside a layer binds
+# them unexecuted too; only what a command touches runs
+linalg, polyfactor, lattice, discforms, gluing, involution, nsfamilies, elliptic, verify = map(
+    _lazy,
+    ("linalg", "polyfactor", "lattice", "discforms", "gluing", "involution", "nsfamilies",
+     "elliptic", "verify"),
 )
-from .discforms import discriminant_form
-from .gluing import GlueData, glue, verification_block
-from .involution import QuotientCohomology
-from .nsfamilies import (
-    _MODULI_EXAMPLES,
-    classify_ns,
-    det_square_class_obstruction,
-    moduli_dimension,
-)
-from .elliptic import (
-    RatPoly,
-    WeierstrassFibration,
-    fiber_configuration,
-    parse_fiber_list,
-    shioda_tate,
-    two_isogeny_quotient,
-)
-from .verify import DEFAULT_SEED, run_all
 
 
 @dataclass
@@ -58,10 +70,8 @@ def _jsonable(x):
     if isinstance(x, int) and x.bit_length() > 3 * sys.get_int_max_str_digits():
         decimal(x)  # json prints ints with str(); below 3n bits (2^(3n) < 10^n) they always fit
         return x
-    if isinstance(x, Lattice):
+    if isinstance(x, lattice.Lattice):
         return x.to_json()
-    if isinstance(x, RatPoly):
-        return x.coeff_strings()
     if is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
@@ -81,16 +91,17 @@ def _parse_json(text: str):
 def _read_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _parse_json(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes not UTF-8
         raise JsonInputError(f"cannot read {path}: {exc}") from exc
+    return _parse_json(text)
 
 
-def _load_lattice(ns) -> Lattice:
+def _load_lattice(ns) -> lattice.Lattice:
     if getattr(ns, "file", None):
-        return Lattice.from_json(_read_json_file(ns.file))
+        return lattice.Lattice.from_json(_read_json_file(ns.file))
     if getattr(ns, "std", None):
-        return standard_lattice(ns.std, ns.twist, ns.param)
+        return lattice.standard_lattice(ns.std, ns.twist, ns.param)
     raise JsonInputError("supply either --std KIND or --file PATH")
 
 
@@ -127,7 +138,7 @@ def _cmd_lattice_show(ns):
 
 def _cmd_lattice_roots(ns):
     lat = _load_lattice(ns)
-    vectors = enumerate_vectors_of_norm(lat, ns.norm)
+    vectors = lattice.enumerate_vectors_of_norm(lat, ns.norm)
     payload = {"norm": ns.norm, "count": len(vectors)}
     if ns.vectors:
         payload["vectors"] = [list(v) for v in vectors]
@@ -136,7 +147,7 @@ def _cmd_lattice_roots(ns):
 
 def _cmd_disc(ns):
     lat = _load_lattice(ns)
-    form = discriminant_form(lat)
+    form = discforms.discriminant_form(lat)
     hist = {str(k): v for k, v in sorted(form.q_histogram().items())}
     payload = {
         "invariant_factors": list(form.invariant_factors),
@@ -147,16 +158,16 @@ def _cmd_disc(ns):
 
 
 def _cmd_glue(ns):
-    base = Lattice.from_json(_read_json_file(ns.base))
+    base = lattice.Lattice.from_json(_read_json_file(ns.base))
     raw = _read_json_file(ns.vectors)
     vec_list = raw["vectors"] if isinstance(raw, dict) and "vectors" in raw else raw
     if not isinstance(vec_list, list):
         raise JsonInputError('vectors file must hold a list or {"vectors": [...]}')
-    data = GlueData.of(base, [_fraction_entries(v) for v in vec_list])
-    over = glue(data)
+    data = gluing.GlueData.of(base, [_fraction_entries(v) for v in vec_list])
+    over = gluing.glue(data)
     payload = {
         "lattice": over.lattice.to_json(),
-        "verification": verification_block(over),
+        "verification": gluing.verification_block(over),
         "inclusion": [list(r) for r in over.inclusion],
         "basis_in_base": [[decimal(x) for x in row] for row in over.basis_in_base],
     }
@@ -164,22 +175,22 @@ def _cmd_glue(ns):
 
 
 def _cmd_k3_maps(ns):
-    report = QuotientCohomology().adjunction_report()
+    report = involution.QuotientCohomology().adjunction_report()
     return _jsonable(report), []
 
 
 def _cmd_k3_push(ns):
     vec = _fraction_entries(_parse_json(ns.vector))
-    return {"vector": QuotientCohomology().push(vec)}, []
+    return {"vector": involution.QuotientCohomology().push(vec)}, []
 
 
 def _cmd_k3_pull(ns):
     vec = _fraction_entries(_parse_json(ns.vector))
-    return {"vector": QuotientCohomology().pull(vec)}, []
+    return {"vector": involution.QuotientCohomology().pull(vec)}, []
 
 
 def _cmd_ns_classify(ns):
-    families = classify_ns(ns.L2)
+    families = nsfamilies.classify_ns(ns.L2)
     payload = []
     for fam in families:
         payload.append(
@@ -197,25 +208,26 @@ def _cmd_ns_classify(ns):
 
 
 def _cmd_ns_moduli(ns):
-    return {"example": ns.example, "dimension": moduli_dimension(ns.example)}, []
+    return {"example": ns.example, "dimension": nsfamilies.moduli_dimension(ns.example)}, []
 
 
 def _cmd_ns_obstruction(ns):
-    return _jsonable(det_square_class_obstruction(ns.rankT)), []
+    return _jsonable(nsfamilies.det_square_class_obstruction(ns.rankT)), []
 
 
-def _fibration_from_args(ns) -> WeierstrassFibration:
-    return WeierstrassFibration(RatPoly.from_string(ns.a), RatPoly.from_string(ns.b))
+def _fibration_from_args(ns) -> elliptic.WeierstrassFibration:
+    poly = elliptic.RatPoly.from_string
+    return elliptic.WeierstrassFibration(poly(ns.a), poly(ns.b))
 
 
 def _cmd_ell_fibers(ns):
-    report = fiber_configuration(_fibration_from_args(ns))
+    report = elliptic.fiber_configuration(_fibration_from_args(ns))
     return report.to_json(), []
 
 
 def _cmd_ell_quotient(ns):
-    quot = two_isogeny_quotient(_fibration_from_args(ns))
-    report = fiber_configuration(quot)
+    quot = elliptic.two_isogeny_quotient(_fibration_from_args(ns))
+    report = elliptic.fiber_configuration(quot)
     return {
         "a": quot.a.coeff_strings(),
         "b": quot.b.coeff_strings(),
@@ -224,12 +236,12 @@ def _cmd_ell_quotient(ns):
 
 
 def _cmd_ell_shioda_tate(ns):
-    rank, disc = shioda_tate(parse_fiber_list(ns.fibers), ns.torsion)
+    rank, disc = elliptic.shioda_tate(elliptic.parse_fiber_list(ns.fibers), ns.torsion)
     return {"picard_rank": rank, "ns_discriminant": decimal(disc)}, []
 
 
 def _cmd_verify_paper(ns):
-    results = run_all(ns.seed)
+    results = verify.run_all(ns.seed)
     lines = []
     for res in results:
         mark = "PASS" if res.passed else "FAIL"
@@ -251,7 +263,7 @@ def _cmd_verify_paper(ns):
 
 
 def _add_lattice_source(parser):
-    parser.add_argument("--std", choices=_STANDARD_KINDS)
+    parser.add_argument("--std", choices=lattice._STANDARD_KINDS)
     parser.add_argument("--twist", type=int, default=1)
     parser.add_argument("--param", type=int, default=None, help="n for An, m for rank1")
     parser.add_argument("--file", help="lattice JSON file")
@@ -305,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--L2", type=int, required=True)
     classify.set_defaults(handler=_cmd_ns_classify)
     moduli = nsub.add_parser("moduli", help="moduli dimension of a worked example")
-    moduli.add_argument("--example", required=True,
-                        choices=_MODULI_EXAMPLES)
+    moduli.add_argument("--example", required=True, choices=lattice._MODULI_EXAMPLES)
     moduli.set_defaults(handler=_cmd_ns_moduli)
     obstruction = nsub.add_parser("obstruction", help="determinant square-class report")
     obstruction.add_argument("--rankT", type=int, required=True)
@@ -328,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.set_defaults(handler=_cmd_ell_shioda_tate)
 
     vp = sub.add_parser("verify-paper", help="run the full acceptance suite")
-    vp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    vp.add_argument("--seed", type=int, default=lattice.DEFAULT_SEED)
     vp.set_defaults(handler=_cmd_verify_paper)
     return parser
 

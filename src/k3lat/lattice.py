@@ -317,6 +317,11 @@ def gamma16_coordinates_doubled(y) -> list[int]:
 
 
 _STANDARD_KINDS = ("U", "E8", "An", "rank1", "NikulinN", "Gamma16")
+# the worked examples of ``nsfamilies.moduli_dimension`` and the seed of the
+# acceptance checks in ``verify``: their one home is here, where the CLI's
+# parser reads them with ``_STANDARD_KINDS`` without executing those modules
+_MODULI_EXAMPLES = ("M2", "M6", "M4", "M4tilde", "M8", "M8tilde")
+DEFAULT_SEED = 0
 
 
 def standard_lattice(kind: str, twist: int = 1, param: int | None = None) -> Lattice:

@@ -22,6 +22,7 @@ from .discforms import Fingerprint, lattice_fingerprint
 from .gluing import GlueData, Overlattice, glue, is_primitive, nikulin_square_overlattice
 from .involution import k3_lattice
 from .lattice import (
+    _MODULI_EXAMPLES,
     Lattice,
     direct_sum,
     e8,
@@ -258,9 +259,6 @@ def count_invariant_monomials(
         _monomials(k, j) * _monomials(num_vars - k, degree - j)
         for j in range(int(parity == "anti_invariant"), degree + 1, 2)
     )
-
-
-_MODULI_EXAMPLES = ("M2", "M6", "M4", "M4tilde", "M8", "M8tilde")
 
 
 def moduli_dimension(example: str) -> int:

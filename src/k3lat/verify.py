@@ -46,6 +46,8 @@ from .involution import (
     swap_involution,
 )
 from .lattice import (
+    DEFAULT_SEED,
+    _MODULI_EXAMPLES,
     a_n,
     direct_sum,
     e8,
@@ -58,7 +60,6 @@ from .lattice import (
     sublattice_index,
 )
 from .nsfamilies import (
-    _MODULI_EXAMPLES,
     classify_ns,
     count_invariant_monomials,
     det_square_class_obstruction,
@@ -69,8 +70,6 @@ from .nsfamilies import (
     morrison_nikulin_lattices,
     transcendental_fingerprint,
 )
-
-DEFAULT_SEED = 0
 
 
 def check_unimodular_glue() -> dict:

@@ -297,6 +297,28 @@ def test_malformed_input_is_bad_input_envelope(argv, file_text, tmp_path, capsys
     _assert_error_envelope(argv, 1, "bad_input", capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "info", "--file", "BAD"],
+        ["glue", "--base", "BAD", "--vectors", "GOOD"],
+        ["glue", "--base", "GOOD", "--vectors", "BAD"],
+        ["lattice", "info", "--file", "\x00"],
+        ["glue", "--base", "\x00", "--vectors", "GOOD"],
+    ],
+    ids=["file-not-utf8", "base-not-utf8", "vectors-not-utf8", "file-nul-path", "base-nul-path"],
+)
+def test_unreadable_file_is_malformed_json_envelope(argv, tmp_path, capsys):
+    # a file that is not UTF-8, or a path open() refuses, is malformed input naming the path
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    good.write_text('{"gram": [[2]], "vectors": []}')
+    argv = [{"BAD": str(bad), "GOOD": str(good)}.get(a, a) for a in argv]
+    _assert_error_envelope(argv, 3, "malformed_json", capsys)
+    path = str(bad) if str(bad) in argv else "\x00"
+    assert run(argv).diagnostics[0].startswith(f"cannot read {path}: ")
+
+
 _LONG_ENTRY = '{"gram": [[' + "2" * 4401 + "]]}"
 _DIAGONAL_1001_DIGITS = json.dumps(
     {"gram": [[10 ** 1000 if i == j else 0 for j in range(5)] for i in range(5)]}

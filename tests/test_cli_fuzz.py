@@ -16,7 +16,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3lat import lattice
@@ -111,6 +111,8 @@ def _run(argv):
 
 
 @given(invocations())
+# open() refuses a path with a NUL in it by raising ValueError, not OSError
+@example((["glue", "--base", "\x00", "--vectors", "FILE"], {"gram": [[2]]}))
 @settings(max_examples=200, deadline=None)
 def test_every_invocation_ends_in_an_exit_code_and_one_json_error(case):
     argv, doc = case
