@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, JsonInputError, K3LatError, decimal
+from .errors import JsonInputError, K3LatError, decimal
 
 
 def _lazy(name: str):
@@ -70,8 +70,6 @@ def _jsonable(x):
     if isinstance(x, int) and x.bit_length() > 3 * sys.get_int_max_str_digits():
         decimal(x)  # json prints ints with str(); below 3n bits (2^(3n) < 10^n) they always fit
         return x
-    if isinstance(x, lattice.Lattice):
-        return x.to_json()
     if is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
@@ -103,19 +101,6 @@ def _load_lattice(ns) -> lattice.Lattice:
     if getattr(ns, "std", None):
         return lattice.standard_lattice(ns.std, ns.twist, ns.param)
     raise JsonInputError("supply either --std KIND or --file PATH")
-
-
-def _fraction_entries(values):
-    """A JSON list of integers or rational strings as exact Fractions."""
-    if not isinstance(values, list):
-        raise BadInputError(f"expected a JSON list of numbers, got {type(values).__name__}")
-    out = []
-    for v in values:
-        try:
-            out.append(Fraction(str(v)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadInputError(f"entry {v!r} is not an integer or a rational like '1/2'") from exc
-    return out
 
 
 # -- handlers ----------------------------------------------------------------
@@ -163,7 +148,7 @@ def _cmd_glue(ns):
     vec_list = raw["vectors"] if isinstance(raw, dict) and "vectors" in raw else raw
     if not isinstance(vec_list, list):
         raise JsonInputError('vectors file must hold a list or {"vectors": [...]}')
-    data = gluing.GlueData.of(base, [_fraction_entries(v) for v in vec_list])
+    data = gluing.GlueData.of(base, vec_list)
     over = gluing.glue(data)
     payload = {
         "lattice": over.lattice.to_json(),
@@ -180,13 +165,11 @@ def _cmd_k3_maps(ns):
 
 
 def _cmd_k3_push(ns):
-    vec = _fraction_entries(_parse_json(ns.vector))
-    return {"vector": involution.QuotientCohomology().push(vec)}, []
+    return {"vector": involution.QuotientCohomology().push(_parse_json(ns.vector))}, []
 
 
 def _cmd_k3_pull(ns):
-    vec = _fraction_entries(_parse_json(ns.vector))
-    return {"vector": involution.QuotientCohomology().pull(vec)}, []
+    return {"vector": involution.QuotientCohomology().pull(_parse_json(ns.vector))}, []
 
 
 def _cmd_ns_classify(ns):

@@ -264,10 +264,9 @@ def enumerate_isotropic_subgroups(form: FiniteQuadraticForm, order: int) -> list
     """All subgroups of the given order on which q vanishes identically.
 
     Deterministic output (sorted by element tuples).  Guarded by a size bound:
-    the group must be 2-elementary or have order <= 2^12.
+    the group must have order <= 2^12.
     """
-    two_elementary = all(d == 2 for d in form.invariant_factors)
-    if not two_elementary and form.order > _SUBGROUP_SIZE_BOUND:
+    if form.order > _SUBGROUP_SIZE_BOUND:
         raise UnsupportedError(
             f"group order {form.order} exceeds the enumeration bound {_SUBGROUP_SIZE_BOUND}"
         )

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,8 +63,8 @@ class RatPoly:
 
     def __init__(self, coeffs=()):
         try:
-            cs = [c if type(c) is int else _exact(c) for c in coeffs]
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            cs = [c if type(c) is int else linalg.exact_rational(c) for c in coeffs]
+        except TypeError as exc:
             raise BadInputError(f"bad polynomial coefficients {coeffs!r}") from exc
         while cs and cs[-1] == 0:
             cs.pop()
@@ -78,8 +79,8 @@ class RatPoly:
         if not text.strip():
             return cls()
         try:
-            return cls([Fraction(p) for p in text.split(",")])
-        except (ValueError, ZeroDivisionError) as exc:
+            return cls(text.split(","))
+        except BadInputError as exc:
             raise BadInputError(f"bad polynomial coefficient list {text!r}") from exc
 
     @property
@@ -222,21 +223,12 @@ class RatPoly:
         return f"RatPoly({self})"
 
 
-def _exact(c) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction; floats are refused."""
-    if isinstance(c, float):
-        raise BadInputError(f"polynomial coefficient {c!r} is a float; give an exact rational")
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _quotient(x, y) -> int | Fraction:
     """x / y, an int when the division is exact."""
     if type(x) is int and type(y) is int:
         q, r = divmod(x, y)
         return Fraction(x, y) if r else q
-    return _exact(x / y)
+    return linalg.exact_rational(x / y)
 
 
 def _primitive(ints: list[int]) -> list[int]:
@@ -430,6 +422,11 @@ def shioda_tate(fibers, torsion_order: int) -> tuple[int, Fraction]:
     A discriminant with more digits than Python prints raises UnsupportedError
     before the product is formed.
     """
+    try:
+        torsion_order = operator.index(torsion_order)
+        fibers = [(operator.index(n), operator.index(count)) for n, count in fibers]
+    except (TypeError, ValueError) as exc:  # ValueError: an entry that is no pair
+        raise BadInputError("fiber entries and the torsion order must be integers") from exc
     if torsion_order < 1:
         raise BadInputError("torsion order must be at least 1")
     rank = 2
@@ -439,7 +436,6 @@ def shioda_tate(fibers, torsion_order: int) -> tuple[int, Fraction]:
     bits = -2 * torsion_order.bit_length()
     limit = sys.get_int_max_str_digits()
     for n, count in fibers:
-        n, count = int(n), int(count)
         if n < 1 or count < 1:
             raise BadInputError("fiber entries must be positive I_n with positive count")
         rank += count * (n - 1)

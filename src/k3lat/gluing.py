@@ -62,7 +62,7 @@ class GlueData:
     def of(base: Lattice, vectors) -> "GlueData":
         try:
             cleared = [linalg.clear_denominators(v) for v in vectors]
-        except (TypeError, BadInputError) as exc:
+        except TypeError as exc:
             raise BadInputError("glue vectors must be lists of exact rationals") from exc
         if any(len(w) != base.rank for _, w in cleared):
             raise BadInputError("glue vectors must have the base rank as length")

@@ -7,11 +7,14 @@ anywhere in the package.  The kernels run on ints: one fraction-free
 symmetric (Bareiss) elimination gives a Gram matrix's signature, its
 determinant (the last pivot) and the pivot rows that bound the short-vector
 search; Hermite and Smith normal forms use integer row and column
-operations.  Every Bareiss division is exact.  ``clear_denominators`` is
-the one place a rational vector becomes integers.  Two routines have no
-caller in the package: ``rational_inverse``, the one that works over Q, and
-the general ``bareiss_determinant``; the tests call both as oracles, and
-perfbench's tracer counts their calls.
+operations.  Every Bareiss division is exact.  ``exact_rational`` is the
+one rule for a number from outside: an int, a Fraction or text like "-3/2",
+never a float or "1e3"; ``exact_ints`` and ``clear_denominators`` read
+vectors through it, and ``clear_denominators`` is the one place a rational
+vector becomes integers.  Two routines have no caller in the package:
+``rational_inverse``, the one that works over Q, and the general
+``bareiss_determinant``; the tests call both as oracles, and perfbench's
+tracer counts their calls.
 
 The products (``mat_mul``, ``mat_vec``, ``dot`` with a Gram and
 ``pairing_matrix``) skip zero entries, since the push/pull matrices, the
@@ -24,21 +27,53 @@ zeros comes back as an int: compare results with ``==`` and divide them with
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import BadInputError, DegenerateGramError, require
 
 IntMatrix = list[list[int]]
 
+_RATIONAL_TEXT = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
+def exact_rational(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction: the one rule for outside numbers.
+
+    Accepted: an int (a bool counts as one), a Fraction, or the text
+    ``[-+]digits`` or ``[-+]digits/digits`` with whitespace around it.  A
+    float, decimal or exponent text ("1.5", "1e3") and anything else raise
+    BadInputError, so no text is expanded before it is refused.
+    """
+    if isinstance(x, int):
+        return int(x)
+    value = x
+    if isinstance(x, str) and (match := _RATIONAL_TEXT.fullmatch(x)):
+        try:
+            value = Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # ValueError: past the digit limit
+            pass
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(x, float):
+        raise BadInputError(f"entry {x!r} is a float, not an exact rational")
+    raise BadInputError(f"entry {x!r} is not an exact rational")
+
+
+def _exact_entries(values) -> list[int | Fraction]:
+    """exact_rational of each entry of a list or tuple; ints pass as they are."""
+    if not isinstance(values, (list, tuple)):
+        raise BadInputError(f"expected a list of exact rationals, got {type(values).__name__}")
+    return [x if type(x) is int else exact_rational(x) for x in values]
+
 
 def exact_ints(values, what: str) -> list[int]:
-    """``values`` as a list of ints; BadInputError unless each one is an integer."""
+    """The entries of ``values`` as ints; BadInputError unless each is an integer exact rational."""
     try:
-        values = list(values)
-        ints = [int(x) for x in values]
-    except (TypeError, ValueError, OverflowError) as exc:
+        ints = _exact_entries(values)
+    except BadInputError as exc:
         raise BadInputError(f"{what} must be integers") from exc
-    if ints != values:
+    if any(type(x) is not int for x in ints):
         raise BadInputError(f"{what} must be integers")
     return ints
 
@@ -46,24 +81,9 @@ def exact_ints(values, what: str) -> list[int]:
 def clear_denominators(values) -> tuple[int, list[int]]:
     """(den, den * values) on ints, with den the least denominator that clears them.
 
-    Ints and Fractions are read through ``numerator``/``denominator``, building
-    no Fraction; other entries go through ``Fraction`` once ("1/2" is exact).
-    A str or bytes is refused rather than read as a vector of its characters.
+    Entries are read by ``exact_rational``; ints and Fractions build no new Fraction.
     """
-    if isinstance(values, (str, bytes)):
-        raise BadInputError(f"expected a vector of exact rationals, got {type(values).__name__}")
-    try:
-        values = list(values)
-    except TypeError as exc:
-        raise BadInputError("expected a vector of exact rationals") from exc
-    for k, x in enumerate(values):
-        if not isinstance(x, (int, Fraction)):
-            if isinstance(x, float):
-                raise BadInputError(f"entry {x!r} is a float, not an exact rational")
-            try:
-                values[k] = Fraction(x)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise BadInputError(f"entry {x!r} is not an exact rational") from exc
+    values = _exact_entries(values)
     den = math.lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 

@@ -82,7 +82,7 @@ def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
         raise BadInputError("no index-2 overlattice exists unless d is even (L^2 = 0 mod 4)")
     if v is None:
         v = canonical_glue_vector(d)
-    v = tuple(int(c) for c in v)
+    v = tuple(linalg.exact_ints(v, "glue vector entries"))
     norm = e8(-2).norm(list(v))
     if norm % 8 != glue_vector_norm_class(d) % 8:
         raise BadInputError(

@@ -254,6 +254,8 @@ def test_ell_shioda_tate():
 
 
 _PUSH_HALF = json.dumps([1.5] + [0] * 29)
+_GLUE_HALF = '{"gram": [[0, 2], [2, 0]], "vectors": [[%s, 0]]}'
+_PULL_EXPONENT = json.dumps(["1e9999999"] + [0] * 21)
 
 
 def _assert_error_envelope(argv, exit_code, code, capsys):
@@ -284,10 +286,20 @@ def _assert_error_envelope(argv, exit_code, code, capsys):
         (["ell", "fibers", "--a=,1", "--b=1,0,0,0,0,0,0,0,1"], None),
         (["ell", "fibers", "--a=1,", "--b=1,0,0,0,0,0,0,0,1"], None),
         (["ell", "quotient", "--a=1", "--b=1, ,1"], None),
+        # floats, decimal and exponent text are refused, not rounded or expanded
+        (["lattice", "info", "--file", "FILE"], '{"gram": [[1e23, 0], [0, 2]]}'),
+        (["glue", "--base", "FILE", "--vectors", "FILE"], _GLUE_HALF % "0.5"),
+        (["glue", "--base", "FILE", "--vectors", "FILE"], _GLUE_HALF % '"0.5"'),
+        (["k3", "push", "--vector", json.dumps([2.0] + [0] * 29)], None),
+        (["k3", "pull", "--vector", _PULL_EXPONENT], None),
+        (["ell", "fibers", "--a=1.5", "--b=1"], None),
+        (["ell", "fibers", "--a", "1e9999999", "--b", "1"], None),
     ],
     ids=["gram-int", "gram-str", "doc-empty-str", "doc-str-of-lattice", "fiber-count", "vector-dict",
          "vector-int", "vector-1/0", "vector-1.5", "poly-empty-between", "poly-empty-before",
-         "poly-empty-after", "poly-blank-entry"],
+         "poly-empty-after", "poly-blank-entry", "gram-float-1e23", "glue-float",
+         "glue-decimal-text", "vector-2.0", "vector-exponent-text", "poly-decimal-text",
+         "poly-exponent-text"],
 )
 def test_malformed_input_is_bad_input_envelope(argv, file_text, tmp_path, capsys):
     if file_text is not None:
@@ -419,7 +431,7 @@ def test_parser_builds():
     build_parser()
 
 
-def _assert_unsupported_within_a_second(argv, message, capsys):
+def _assert_refused_within_a_second(argv, error_code, message, capsys):
     for prefix in ([], ["--json"]):
         start = time.process_time()
         code = main(prefix + argv)
@@ -428,13 +440,30 @@ def _assert_unsupported_within_a_second(argv, message, capsys):
         assert code == 1
         if prefix:
             error = json.loads(captured.out)
-            assert error["error_code"] == "unsupported" and captured.err == ""
+            assert error["error_code"] == error_code and captured.err == ""
             got = error["diagnostics"][0]
         else:
             error = json.loads(captured.err)
-            assert error["code"] == "unsupported" and captured.out == ""
+            assert error["code"] == error_code and captured.out == ""
             got = error["message"]
         assert got == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ell", "fibers", "--a", "1e9999999", "--b", "1"],
+         "bad polynomial coefficient list '1e9999999'"),
+        (["ell", "quotient", "--a", "1e9999999", "--b", "1"],
+         "bad polynomial coefficient list '1e9999999'"),
+        (["k3", "pull", "--vector", _PULL_EXPONENT], "entry '1e9999999' is not an exact rational"),
+    ],
+    ids=["ell-fibers", "ell-quotient", "k3-pull"],
+)
+def test_exponent_text_is_refused_within_a_second(argv, message, capsys):
+    # the text is matched against digits/digits, never expanded: Fraction("1e9999999")
+    # builds a ten-million-digit integer first
+    _assert_refused_within_a_second(argv, "bad_input", message, capsys)
 
 
 @pytest.mark.parametrize(
@@ -464,14 +493,14 @@ def test_short_vector_search_past_its_term_bound_is_unsupported(
     path.write_text(json.dumps({"gram": direct_sum([e8(-1)] * 8).gram_rows()}))
     source = [str(path) if a == "E8^8" else a for a in source]
     argv = ["lattice", "roots"] + source + ["--norm", norm]
-    _assert_unsupported_within_a_second(argv, message, capsys)
+    _assert_refused_within_a_second(argv, "unsupported", message, capsys)
 
 
 def test_a_n_past_its_bound_is_unsupported(capsys):
     # the Gram of A_n is n x n; A_400 took 10 s to build before the bound
     assert run(["lattice", "info", "--std", "An", "--param", "32"]).status == "ok"
     argv = ["lattice", "info", "--std", "An", "--param", "33"]
-    _assert_unsupported_within_a_second(argv, "A_33: n is past the bound 32", capsys)
+    _assert_refused_within_a_second(argv, "unsupported", "A_33: n is past the bound 32", capsys)
 
 
 def test_file_gram_past_the_rank_bound_is_unsupported(capsys, tmp_path):
@@ -483,4 +512,4 @@ def test_file_gram_past_the_rank_bound_is_unsupported(capsys, tmp_path):
 
     assert run(info(64)).payload == {"rank": 64, "det": 2 ** 64, "even": True, "signature": [0, 64]}
     message = "a rank-65 gram matrix is past the rank bound 64"
-    _assert_unsupported_within_a_second(info(65), message, capsys)
+    _assert_refused_within_a_second(info(65), "unsupported", message, capsys)

@@ -7,6 +7,7 @@ import pytest
 from k3lat import (
     BadInputError,
     OddLatticeError,
+    UnsupportedError,
     a_n,
     direct_sum,
     discriminant_form,
@@ -153,6 +154,14 @@ def test_isotropic_subgroups_order_four_all_isotropic():
     for sub in subs:
         assert len(sub.elements) == 4
         assert all(form.q(e) == 0 for e in sub.elements)
+
+
+def test_subgroup_bound_covers_two_elementary_groups():
+    # U(2)^7 has the 2-elementary group (Z/2)^14 of order 16384, past the bound 2^12;
+    # the search over it ran for minutes
+    form = discriminant_form(direct_sum([hyperbolic_plane(2)] * 7))
+    with pytest.raises(UnsupportedError, match="exceeds the enumeration bound 4096"):
+        enumerate_isotropic_subgroups(form, 4)
 
 
 def test_nonexistent_order_returns_empty():

@@ -57,11 +57,11 @@ def test_ratpoly_parse_and_canonical_form():
     assert RatPoly.from_string("").is_zero
     assert RatPoly.from_string(" ").is_zero
     # every entry must be present; an empty one is refused, not skipped
-    for text in ("1, x", "1,,2", ",1", "1,", "1, ,2", ","):
+    for text in ("1, x", "1,,2", ",1", "1,", "1, ,2", ",", "1.5", "1e9999999", "1,2e0"):
         with pytest.raises(BadInputError, match="coefficient list"):
             RatPoly.from_string(text)
     # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
-    for bad in (5, ["a"], ["1/0"], [0.1], [1, 2.0], [F(1, 2), float("inf")]):
+    for bad in (5, ["a"], ["1/0"], [0.1], [1, 2.0], [F(1, 2), float("inf")], ["0.5"], ["1e3"]):
         with pytest.raises(BadInputError):
             RatPoly(bad)
     with pytest.raises(BadInputError):
@@ -342,6 +342,11 @@ def test_shioda_tate_rejects_bad_input():
         shioda_tate([(0, 3)], torsion_order=1)
     with pytest.raises(BadInputError):
         shioda_tate([(2, 8)], torsion_order=0)
+    # (2.5, 8.9) is no fiber I_2 eight times, and torsion 2.0 is no integer
+    with pytest.raises(BadInputError):
+        shioda_tate([(2.5, 8.9)], 2)
+    with pytest.raises(BadInputError):
+        shioda_tate([(2, 8)], torsion_order=2.0)
 
 
 def test_parse_fiber_list():

@@ -100,8 +100,9 @@ def test_non_dual_vector_rejected():
 
 @pytest.mark.parametrize(
     "vectors",
-    [[["a", 0]], [5], [["1/0", 0]], [[0.1, 0]], ["10"]],
-    ids=["str", "int", "1/0", "float", "text-vector"],
+    [[["a", 0]], [5], [["1/0", 0]], [[0.1, 0]], ["10"], [["0.5", 0]], [["1e3", 0]],
+     [{"0": 1, "1": 0}]],
+    ids=["str", "int", "1/0", "float", "text-vector", "decimal-text", "exponent-text", "dict"],
 )
 def test_malformed_glue_vectors_rejected(vectors):
     with pytest.raises(BadInputError):

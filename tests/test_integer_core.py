@@ -516,9 +516,18 @@ def test_clear_denominators_matches_fraction_oracle(values):
 def test_clear_denominators_reads_text_and_refuses_floats():
     assert linalg.clear_denominators([]) == (1, [])
     assert linalg.clear_denominators(["1/2", True, Fraction(-2, 3)]) == (6, [3, 6, -4])
-    for bad in ([0.5], [1, float("nan")], ["x"], [None], ["1/0"], 5, "10", b"10"):
+    for bad in ([0.5], [1, float("nan")], ["x"], [None], ["1/0"], 5, "10", b"10",
+                ["1.5"], ["1e3"], ["1e9999999"], [2.0], {"1": 0}):
         with pytest.raises(BadInputError, match="exact rational"):
             linalg.clear_denominators(bad)
+
+
+@given(st.fractions(), st.floats(allow_nan=True))
+@settings(max_examples=200, deadline=None)
+def test_exact_rational_reads_fraction_text_and_refuses_floats(f, x):
+    assert linalg.exact_rational(str(f)) == f
+    with pytest.raises(BadInputError, match="float"):
+        linalg.exact_rational(x)
 
 
 def test_gamma16_embedding_builds_no_fraction():

@@ -154,9 +154,12 @@ def test_degenerate_gram_rejected():
         Lattice([[0, 1], [2, 0]])  # not symmetric
     with pytest.raises(BadInputError):
         Lattice([[1, 2, 3]])  # not square
-    for gram in (5, [5], [["a"]], [[Fraction(1, 2)]], [[float("inf")]]):
+    # 1e23 is the float 99999999999999991611392, never the integer 10^23
+    for gram in (5, [5], [["a"]], [[Fraction(1, 2)]], [[float("inf")]], [[1e23, 0], [0, 2]],
+                 [[2.0]], [["1.5"]], [["2e0"]], ["22"]):
         with pytest.raises(BadInputError):
             Lattice(gram)
+    assert Lattice([["2", "-1"], [-1, " 2 "]]).gram == ((2, -1), (-1, 2))
     with pytest.raises(BadInputError):
         Lattice([[2]], labels=5)
 

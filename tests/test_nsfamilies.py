@@ -71,6 +71,9 @@ def test_tilde_rejects_wrong_norm_class():
     v8 = canonical_glue_vector(4)  # norm -8, valid for d = 0 mod 4
     with pytest.raises(BadInputError):
         tilde_family(4, v8)  # d = 2 needs v^2 = 4 mod 8
+    # entries are read exactly, never truncated: this is not (1, 1, 0, ..., 0)
+    with pytest.raises(BadInputError):
+        tilde_family(8, [1.5, 1.2, 0, 0, 0, 0, 0, 0])
 
 
 def test_tilde_fingerprint_independent_of_glue_vector():
