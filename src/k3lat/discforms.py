@@ -405,12 +405,3 @@ def lattice_fingerprint(lattice: Lattice) -> Fingerprint:
         factors,
         hist,
     )
-
-
-def opposite_histogram(hist: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
-    """Histogram of -q given the histogram of q (values mod 2Z)."""
-    out = []
-    for key, count in hist:
-        val = Fraction(key)
-        out.append((str((-val) % 2), count))
-    return tuple(sorted(out))

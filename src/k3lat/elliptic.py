@@ -54,18 +54,15 @@ class RatPoly:
 
     ``coeffs`` is a tuple without trailing zeros.  Each entry is an ``int``
     when integral and a ``Fraction`` with denominator > 1 otherwise: the
-    constructor normalizes every input, and division goes through
-    ``_quotient``, which returns an int when it is exact.  ``gcd`` runs on
-    Python ints and shares no code with ``polyfactor``.
+    constructor reads a list or tuple through ``linalg.exact_entries``, and
+    division goes through ``_quotient``, which returns an int when it is
+    exact.  ``gcd`` runs on Python ints and shares no code with ``polyfactor``.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        try:
-            cs = [c if type(c) is int else linalg.exact_rational(c) for c in coeffs]
-        except TypeError as exc:
-            raise BadInputError(f"bad polynomial coefficients {coeffs!r}") from exc
+        cs = linalg.exact_entries(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -486,18 +483,8 @@ def _u_plus_n_section_data() -> dict:
     tau.f = 1 and tau.N_i = 1 for all eight nodes, and unless the section
     basis spans a lattice with the fingerprint of U + N.
     """
-    n_lat = nikulin()
-    gram = [[0] * 10 for _ in range(10)]
-    gram[0][0] = -2  # sigma^2
-    gram[0][1] = gram[1][0] = 1  # sigma.f
-    for i in range(8):
-        for j in range(8):
-            gram[2 + i][2 + j] = n_lat.gram[i][j]
-    ns = Lattice(
-        gram,
-        ("sigma", "f") + tuple(n_lat.labels),
-        "U + N (section basis)",
-    )
+    sigma_f = Lattice([[-2, 1], [1, 0]], ("sigma", "f"))  # sigma^2 = -2, sigma.f = 1
+    ns = direct_sum([sigma_f, nikulin()], name="U + N (section basis)")
     tau = (1, 2, 0, 0, 0, 0, 0, 0, 0, -1)  # sigma + 2f - Nhat
     tau_list = list(tau)
     pairings = [("tau", tau_list, -2), ("sigma", [1] + [0] * 9, 0), ("f", [0, 1] + [0] * 8, 1)]

@@ -30,6 +30,7 @@ from .lattice import (
     nikulin,
     nikulin_node_coords,
     orthogonal_complement,
+    sublattice_index,
 )
 
 
@@ -67,21 +68,21 @@ class InvolutionModule:
 def str_invariants(module: InvolutionModule) -> STRInvariants:
     """(s, t, r) with (M, g) = M_1^s + M_{-1}^t + M_swap^r.
 
-    The fixed and anti-fixed ranks (the kernel ranks of g - 1 and g + 1)
-    determine s + r and t + r; the swap multiplicity r is the F_2-rank of
-    (g - 1) mod 2 (it is 1 on each swap block and 0 on the scalar blocks).
+    The kernels of g - 1 and g + 1 have ranks s + r and t + r, and together
+    they span a sublattice of index 2^r (Nikulin 1979): a scalar block is its
+    own eigenvector, and on a swap block {e, ge} the eigenvectors e + ge and
+    e - ge span index 2.
     """
     n = module.lattice.rank
     g = module.action_rows()
     ident = linalg.identity_matrix(n)
-    g_minus = linalg.mat_sub(g, ident)
-    g_plus = [[x + y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)]
-    f_plus = len(linalg.integer_kernel(g_minus))
-    f_minus = len(linalg.integer_kernel(g_plus))
-    r = linalg.rank_mod2(g_minus)
-    s = f_plus - r
-    t = f_minus - r
-    require(s >= 0 and t >= 0 and s + t + 2 * r == n, f"(s,t,r) = {(s, t, r)} in rank {n}")
+    plus = linalg.integer_kernel(linalg.mat_sub(g, ident))
+    minus = linalg.integer_kernel([[x + y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)])
+    index = sublattice_index(module.lattice, plus + minus)
+    r = index.bit_length() - 1
+    s, t = len(plus) - r, len(minus) - r
+    ok = index == 1 << r and s >= 0 and t >= 0 and s + t + 2 * r == n
+    require(ok, f"(s,t,r) = {(s, t, r)} in rank {n}, eigen-kernel index {index}")
     return STRInvariants(s, t, r)
 
 
@@ -100,12 +101,11 @@ def invariant_and_antiinvariant(module: InvolutionModule) -> FixedSublattices:
     diff = linalg.mat_sub(g, linalg.identity_matrix(n))
     inv_basis = linalg.integer_kernel(diff)
     gram = module.lattice.gram_rows()
-    inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram)) if inv_basis else Lattice([])
+    inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram))
     anti_lat, anti_basis = orthogonal_complement(module.lattice, inv_basis)
     for which, basis in (("invariant", inv_basis), ("anti-invariant", anti_basis)):
-        if basis:
-            ok, torsion = is_primitive(module.lattice, basis)
-            require(ok, f"{which} sublattice is not primitive: cokernel {torsion}")
+        ok, torsion = is_primitive(module.lattice, basis)
+        require(ok, f"{which} sublattice is not primitive: cokernel {torsion}")
     return FixedSublattices(inv_lat, inv_basis, anti_lat, anti_basis)
 
 

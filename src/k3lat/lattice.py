@@ -227,18 +227,13 @@ def nikulin(twist: int = 1) -> Lattice:
     return Lattice(g, labels, "N").twist(twist)
 
 
-def nikulin_n8_coords() -> list[int]:
-    """Coordinates of N_8 in the integral basis {N_1..N_7, Nhat}."""
-    return [-1] * 7 + [2]
-
-
 def nikulin_node_coords(i: int) -> list[int]:
-    """Coordinates of N_i (1 <= i <= 8) in the integral basis."""
+    """Coordinates of N_i (1 <= i <= 8) in the integral basis {N_1..N_7, Nhat}."""
     if not 1 <= i <= 8:
         raise BadInputError("node index must be in 1..8")
     if i <= 7:
         return [1 if j == i - 1 else 0 for j in range(8)]
-    return nikulin_n8_coords()
+    return [-1] * 7 + [2]  # N_8 = 2 Nhat - N_1 - ... - N_7
 
 
 def minus_one_sum(n: int = 8) -> Lattice:

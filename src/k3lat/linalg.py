@@ -9,12 +9,12 @@ determinant (the last pivot) and the pivot rows that bound the short-vector
 search; Hermite and Smith normal forms use integer row and column
 operations.  Every Bareiss division is exact.  ``exact_rational`` is the
 one rule for a number from outside: an int, a Fraction or text like "-3/2",
-never a float or "1e3"; ``exact_ints`` and ``clear_denominators`` read
-vectors through it, and ``clear_denominators`` is the one place a rational
-vector becomes integers.  Two routines have no caller in the package:
-``rational_inverse``, the one that works over Q, and the general
-``bareiss_determinant``; the tests call both as oracles, and perfbench's
-tracer counts their calls.
+never a float or "1e3"; ``exact_entries`` reads the lists of ``exact_ints``,
+``clear_denominators`` and ``RatPoly`` through it, and ``clear_denominators``
+is the one place a rational vector becomes integers.  Two routines have no
+caller in the package: ``rational_inverse``, the one that works over Q, and
+the general ``bareiss_determinant``; the tests call both as oracles, and
+perfbench's tracer counts their calls.
 
 The products (``mat_mul``, ``mat_vec``, ``dot`` with a Gram and
 ``pairing_matrix``) skip zero entries, since the push/pull matrices, the
@@ -60,7 +60,7 @@ def exact_rational(x) -> int | Fraction:
     raise BadInputError(f"entry {x!r} is not an exact rational")
 
 
-def _exact_entries(values) -> list[int | Fraction]:
+def exact_entries(values) -> list[int | Fraction]:
     """exact_rational of each entry of a list or tuple; ints pass as they are."""
     if not isinstance(values, (list, tuple)):
         raise BadInputError(f"expected a list of exact rationals, got {type(values).__name__}")
@@ -70,7 +70,7 @@ def _exact_entries(values) -> list[int | Fraction]:
 def exact_ints(values, what: str) -> list[int]:
     """The entries of ``values`` as ints; BadInputError unless each is an integer exact rational."""
     try:
-        ints = _exact_entries(values)
+        ints = exact_entries(values)
     except BadInputError as exc:
         raise BadInputError(f"{what} must be integers") from exc
     if any(type(x) is not int for x in ints):
@@ -83,7 +83,7 @@ def clear_denominators(values) -> tuple[int, list[int]]:
 
     Entries are read by ``exact_rational``; ints and Fractions build no new Fraction.
     """
-    values = _exact_entries(values)
+    values = exact_entries(values)
     den = math.lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 
@@ -200,27 +200,6 @@ def rational_inverse(mat):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def rank_mod2(mat) -> int:
-    """Rank of an integer matrix over F_2 (bitmask elimination)."""
-    rows = []
-    for row in mat:
-        bits = 0
-        for j, x in enumerate(row):
-            if x % 2:
-                bits |= 1 << j
-        if bits:
-            rows.append(bits)
-    rank = 0
-    while rows:
-        piv = min(rows, key=lambda b: b & -b)
-        low = piv & -piv
-        rows = [b ^ piv if b & low else b for b in rows if (b ^ piv if b & low else b)]
-        if piv in rows:
-            rows.remove(piv)
-        rank += 1
-    return rank
 
 
 def hermite_normal_form(rows) -> IntMatrix:

@@ -114,10 +114,9 @@ def classify_ns(two_d: int) -> list[NSFamilyDescriptor]:
 
 def transcendental_fingerprint(ambient: Lattice, ns_basis) -> Fingerprint:
     """Fingerprint of the orthogonal complement of a primitive sublattice."""
-    if ns_basis:
-        primitive, torsion = is_primitive(ambient, ns_basis)
-        if not primitive:
-            raise NotPrimitiveError(f"embedding is not primitive: cokernel {torsion}")
+    primitive, torsion = is_primitive(ambient, ns_basis)
+    if not primitive:
+        raise NotPrimitiveError(f"embedding is not primitive: cokernel {torsion}")
     comp, _basis = orthogonal_complement(ambient, ns_basis)
     return lattice_fingerprint(comp)
 
@@ -166,14 +165,6 @@ class SquareClassReport:
     d: int
 
 
-def _is_rational_square(num: int, den: int) -> bool:
-    if num <= 0 or den <= 0:
-        return False
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
 def det_square_class_obstruction(rank_t: int) -> SquareClassReport:
     """Square class of det(T_X over Q)/det(T_Y over Q) = 2^(d+2), d = 14 - rank_T.
 
@@ -184,7 +175,7 @@ def det_square_class_obstruction(rank_t: int) -> SquareClassReport:
         raise BadInputError("rank of the transcendental lattice must be in 1..13")
     d = 22 - 8 - rank_t
     num = 2 ** (d + 2)
-    report = SquareClassReport(num, 1, _is_rational_square(num, 1), rank_t, d)
+    report = SquareClassReport(num, 1, math.isqrt(num) ** 2 == num, rank_t, d)
     require(report.is_square == (rank_t % 2 == 0), f"wrong square class in {report}")
     return report
 

@@ -20,7 +20,6 @@ from . import linalg
 from .discforms import (
     discriminant_form,
     lattice_fingerprint,
-    opposite_histogram,
     orbits_under_generators,
     qK_on_U2_cubed,
 )
@@ -313,9 +312,11 @@ def check_sixteen_gon_family(seed: int = DEFAULT_SEED) -> dict:
     require((rank, disc) == (17, Fraction(4)), f"shioda-tate {(rank, disc)}")
     mn = morrison_nikulin_lattices(2)
     fp_ns, fp_t = mn.ns_fingerprint, mn.t_fingerprint
-    same_group = fp_ns.invariant_factors == fp_t.invariant_factors
-    opposite = fp_t.q_histogram == opposite_histogram(fp_ns.q_histogram)
-    require(same_group and opposite, f"rank-17 pair: q_T != -q_NS for {fp_ns} and {fp_t}")
+    fp_minus = lattice_fingerprint(mn.ns.twist(-1))  # the form of NS(-1) is -q_NS
+    opposite = (fp_t.invariant_factors, fp_t.q_histogram) == (
+        fp_minus.invariant_factors, fp_minus.q_histogram
+    )
+    require(opposite, f"rank-17 pair: q_T != -q_NS for {fp_ns} and {fp_t}")
     expect_ns = lattice_fingerprint(direct_sum([rank_one(4), e8(-1), e8(-1)]))
     require(fp_ns == expect_ns, "rank-17 NS fingerprint is not that of <4> + E8(-1)^2")
     expect_t = lattice_fingerprint(direct_sum([rank_one(-4)] + [hyperbolic_plane()] * 2))

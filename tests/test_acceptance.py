@@ -16,12 +16,22 @@ from pathlib import Path
 import pytest
 
 import k3lat
-from k3lat import nsfamilies, verify
+from k3lat import (
+    InvolutionModule,
+    direct_sum,
+    hyperbolic_plane,
+    k3_lattice,
+    lattice_fingerprint,
+    linalg,
+    nsfamilies,
+    rank_one,
+    verify,
+)
 from k3lat.cli import run
 from k3lat.discforms import FiniteQuadraticForm
 from k3lat.elliptic import RatPoly, WeierstrassFibration
 from k3lat.errors import K3LatError
-from k3lat.nsfamilies import EigenspaceReport
+from k3lat.nsfamilies import EigenspaceReport, MorrisonNikulinReport
 from k3lat.verify import CRITERIA, DEFAULT_SEED
 
 PACKAGE = Path(k3lat.__file__).parent
@@ -68,6 +78,20 @@ def _wrong_glue_vector(d):
     return (1, 0, 0, 0, 0, 0, 0, 0)
 
 
+def _identity_on_k3():
+    return InvolutionModule(k3_lattice(), linalg.identity_matrix(22))
+
+
+_morrison_nikulin = nsfamilies.morrison_nikulin_lattices
+
+
+def _t_with_the_form_of_ns(n):
+    """T = <2n> + U^2: the discriminant group of the real T, but q_T = +q_NS."""
+    real = _morrison_nikulin(n)
+    t = direct_sum([rank_one(2 * n), hyperbolic_plane(), hyperbolic_plane()])
+    return MorrisonNikulinReport(real.ns, t, real.ns_fingerprint, lattice_fingerprint(t))
+
+
 @pytest.mark.parametrize(
     "module, name, replacement, failing, code, warm",
     [
@@ -79,8 +103,16 @@ def _wrong_glue_vector(d):
         (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 11], "bad_input", True),
         # criterion 11 checks q against b on integer numerators
         (FiniteQuadraticForm, "b_numerator", _b_plus_one, [11], "check_failed", True),
+        # (s, t, r) = (22, 0, 0) is not (6, 0, 8)
+        (verify, "swap_involution", _identity_on_k3, [5], "check_failed", False),
+        # the q_T = -q_NS check fails first, not the later fingerprint check on T
+        (verify, "morrison_nikulin_lattices", _t_with_the_form_of_ns, [10],
+         "check_failed: rank-17 pair", False),
     ],
-    ids=["glue-vector", "i16-pair", "eigenspace-table", "glue-vector-warm", "b-numerator"],
+    ids=[
+        "glue-vector", "i16-pair", "eigenspace-table", "glue-vector-warm", "b-numerator",
+        "identity-involution", "t-with-the-form-of-ns",
+    ],
 )
 def test_domain_error_fails_only_its_criteria(
     monkeypatch, module, name, replacement, failing, code, warm

@@ -64,6 +64,10 @@ def test_ratpoly_parse_and_canonical_form():
     for bad in (5, ["a"], ["1/0"], [0.1], [1, 2.0], [F(1, 2), float("inf")], ["0.5"], ["1e3"]):
         with pytest.raises(BadInputError):
             RatPoly(bad)
+    # only a list or tuple is a coefficient list: text, a dict or a generator is not
+    for bad in ("12", {"3": 0, "4": 1}, b"12", (c for c in (1, 2))):
+        with pytest.raises(BadInputError, match="list of exact rationals"):
+            RatPoly(bad)
     with pytest.raises(BadInputError):
         RatPoly([1]) * 0.5
 

@@ -1,5 +1,6 @@
 """Involution invariants and the push/pull transfer maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from k3lat import (
     BadInputError,
     InvolutionModule,
+    Lattice,
     QuotientCohomology,
     direct_sum,
     e8,
@@ -45,6 +47,38 @@ def test_str_of_u_swap_is_one_regular_block():
     lat = hyperbolic_plane()
     inv = str_invariants(InvolutionModule(lat, [[0, 1], [1, 0]]))
     assert (inv.s, inv.t, inv.r) == (0, 0, 1)
+
+
+@given(
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=50, deadline=None)
+def test_str_of_mixed_blocks_in_any_basis(s, t, r, seed):
+    """Trivial, sign and swap blocks on <2>'s, read in a seeded unimodular basis."""
+    n = s + t + 2 * r
+    if n == 0:
+        return
+    g = linalg.identity_matrix(n)
+    for i in range(s, s + t):
+        g[i][i] = -1
+    for k in range(s + t, n, 2):
+        g[k][k] = g[k + 1][k + 1] = 0
+        g[k][k + 1] = g[k + 1][k] = 1
+    # P = E_1 ... E_m with E = I + c e_i e_j^T, so P^-1 = E_m^-1 ... E_1^-1
+    rng = random.Random(seed)
+    p, p_inv = linalg.identity_matrix(n), linalg.identity_matrix(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        for row in p:
+            row[j] += c * row[i]
+        p_inv[i] = [x - c * y for x, y in zip(p_inv[i], p_inv[j])]
+    assert linalg.mat_mul(p, p_inv) == linalg.identity_matrix(n)
+    gram = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    lat = Lattice(linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(gram, p)))
+    action = linalg.mat_mul(p_inv, linalg.mat_mul(g, p))
+    inv = str_invariants(InvolutionModule(lat, action))
+    assert (inv.s, inv.t, inv.r) == (s, t, r)
 
 
 def test_involution_module_validation():
