@@ -10,7 +10,8 @@ fixed denominator e^2: ``q_numerator(x)`` = sum x_i x_j P_ij mod 2e^2 and
 ``b_numerator(x, y)`` = sum x_i y_j P_ij mod e^2.  Everything in this module
 and the checks built on it compare those numerators; ``Fraction``s appear only
 at the API edge, where ``q`` and ``b`` return one canonical Fraction, in [0, 2)
-for q and in [0, 1) for b.
+for q and in [0, 1) for b.  ``b_numerator`` and ``rows`` read the one row
+x P; ``rows(x)`` gives b(x, y) and the position of x + y for every y at once.
 
 ``action_on_disc`` tabulates the map induced by an isometry from the classes
 img_i of the generator images alone: it builds x -> sum_i x_i img_i one
@@ -159,17 +160,42 @@ class FiniteQuadraticForm:
         """b(x, y) * denominator, reduced into [0, denominator)."""
         if not len(x) == len(y) == len(self._pair):
             raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not both lie in {self}")
-        total = 0
-        for ci, row in zip(x, self._pair):
-            if ci:
-                total += ci * sum(map(operator.mul, y, row))
-        return total % self.denominator
+        return sum(map(operator.mul, y, self._pairing_row(x))) % self.denominator
+
+    def _pairing_row(self, x: DiscElement) -> list[int]:
+        """The row x P of unreduced numerators b(x, g_j): the one source of b."""
+        if len(x) != len(self._pair):
+            raise BadInputError(f"element {tuple(x)} does not lie in {self}")
+        row = [0] * len(x)
+        for c, pair_row in zip(x, self._pair):
+            if c:
+                row = [a + c * p for a, p in zip(row, pair_row)]
+        return row
+
+    def rows(self, x: DiscElement) -> tuple[list[int], list[int]]:
+        """(b_numerator(x, y), position of x + y in ``elements()``) for every y, in that order.
+
+        Built one coordinate at a time, as ``action_on_disc`` builds its table:
+        the last coordinate varies fastest, so each pass extends every entry by
+        one coordinate's d multiples of the row x P and one coordinate's d
+        residues of x_j + y_j, at that coordinate's stride.
+        """
+        bs, positions, stride = [0], [0], self.order
+        for c, p, d in zip(x, self._pairing_row(x), self.invariant_factors):
+            stride //= d
+            multiples = [k * p for k in range(d)]
+            shifted = [((c + k) % d) * stride for k in range(d)]
+            bs = [b + m for b in bs for m in multiples]
+            positions = [a + s for a in positions for s in shifted]
+        den2 = self.denominator
+        return [b % den2 for b in bs], positions
 
     @functools.cached_property
     def q_numerators(self) -> MappingProxyType:
-        """Read-only map from every element to its q_numerator, built on first use.
+        """Read-only map from every element, in ``elements()`` order, to its q_numerator.
 
-        The form keeps it, so use it only on groups small enough to list twice.
+        It is built on first use and the form keeps it, so use it only on
+        groups small enough to list twice.
         """
         return MappingProxyType({x: self.q_numerator(x) for x in self.elements()})
 
@@ -328,7 +354,8 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
     for img, d in zip(images, form.invariant_factors):
         multiples = [[c * b for b in img] for c in range(d)]
         sums = [list(map(operator.add, s, m)) for s in sums for m in multiples]
-    table = {x: form.reduce(image) for x, image in zip(form.elements(), sums)}
+    factors = form.invariant_factors
+    table = {x: tuple(map(operator.mod, s, factors)) for x, s in zip(form.elements(), sums)}
     q = form.q_numerators
     for x, y in table.items():
         if q[x] != q[y]:

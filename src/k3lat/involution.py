@@ -214,6 +214,8 @@ class QuotientCohomology:
         den, ints = linalg.clear_denominators(w)
         if len(ints) != 22:
             raise BadInputError("expected 22 coordinates")
+        if den == 1:  # the glued lattice contains the sublattice of integral vectors
+            return den, ints
         if any(x % den for x in ints[14:]):
             return None
         # row i of the inclusion is e_i in the overlattice basis, so these are

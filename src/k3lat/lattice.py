@@ -419,7 +419,9 @@ def sublattice_index(lattice: Lattice, vectors) -> int:
     vecs = [linalg.exact_ints(v, "vector coordinates") for v in vectors]
     if any(len(v) != lattice.rank for v in vecs):
         raise BadInputError(f"vectors must have {lattice.rank} coordinates")
-    hnf = linalg.hermite_normal_form(vecs)
+    # v, -v and 0 add nothing to the span, so the HNF gets one row per +-v pair
+    rows = dict.fromkeys(max(tuple(v), tuple(-c for c in v)) for v in vecs if any(v))
+    hnf = linalg.hermite_normal_form(list(rows))
     if len(hnf) != lattice.rank:
         raise BadInputError("the vectors do not span a finite-index sublattice")
     return math.prod(row[i] for i, row in enumerate(hnf))
@@ -433,8 +435,9 @@ def sublattice_index(lattice: Lattice, vectors) -> int:
 #: instead of running on.  A search node at coordinate i counts the n - i
 #: coordinates x_i..x_{n-1} its bound depends on, so the bound is ~0.4-0.6 s of
 #: search at every rank from 16 to 100, though a node's cost grows with the
-#: rank.  The largest search in the tests, Gamma16(-1) at norm -4, sums
-#: 2,078,462 terms; verify-paper and the benchmarks stay under 41,000.
+#: rank.  The search walks one of each +-v, so the largest search in the tests,
+#: Gamma16(-1) at norm -4, sums 1,039,299 terms (2,078,462 over both signs);
+#: verify-paper's largest, Gamma16(-1) at norm -2, sums 18,064 (35,992).
 _SHORT_VECTOR_TERM_BOUND = 3_000_000
 
 
@@ -444,7 +447,9 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
     norm must be a negative even integer.  The list contains v and -v
     together; completeness comes from exact Fincke-Pohst style bounds read
     off the fraction-free pivot rows of the positive form -gram, so the
-    search runs on ints.  A search that would sum more than
+    search runs on ints.  It walks only the half-space whose last nonzero
+    coordinate (the first one it sets) is positive and appends the negatives
+    before sorting.  A search that would sum more than
     _SHORT_VECTOR_TERM_BOUND coordinate terms raises UnsupportedError.
     """
     if not lattice.is_negative_definite:
@@ -466,8 +471,9 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
     x = [0] * n
     terms = 0
 
-    def descend(i: int, remaining: int, shift: int) -> None:
-        # shift = sum_{j>i} a_ij x_j, set by the caller
+    def descend(i: int, remaining: int, shift: int, signed: bool) -> None:
+        # shift = sum_{j>i} a_ij x_j, set by the caller; signed once some x_j
+        # with j > i is nonzero, and until then x_i >= 0 (one of each +-v)
         nonlocal terms
         terms += n - i
         if terms > _SHORT_VECTOR_TERM_BOUND:
@@ -480,7 +486,8 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
         t = math.isqrt(remaining // c)
         if i == 0:  # the last coordinate must use up the budget exactly
             if c * t * t == remaining:
-                for y in (-t, t) if t else (0,):
+                # unsigned, shift is 0 and t > 0, so only y = t gives x_0 > 0
+                for y in ((-t, t) if t else (0,)) if signed else (t,):
                     if (y - shift) % den == 0:
                         x[0] = (y - shift) // den
                         results.append(tuple(x))
@@ -488,13 +495,13 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
             return
         below = coef[i - 1]  # the next shift is rest + below[0] x_i
         rest = sum(a * xj for a, xj in zip(below[1:], x[i + 1:]))
-        for xi in range(-((t + shift) // den), (t - shift) // den + 1):
+        for xi in range(-((t + shift) // den) if signed else 0, (t - shift) // den + 1):
             x[i] = xi
             y = den * xi + shift
-            descend(i - 1, remaining - c * y * y, rest + below[0] * xi)
+            descend(i - 1, remaining - c * y * y, rest + below[0] * xi, signed or xi != 0)
         x[i] = 0
 
-    descend(n - 1, -norm * scale, 0)
-    results = [v for v in results if any(v)]
+    descend(n - 1, -norm * scale, 0, False)
+    results += [tuple(-c for c in v) for v in results]
     results.sort()
     return results

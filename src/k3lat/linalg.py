@@ -275,37 +275,39 @@ def smith_normal_form(mat):
     t = 0
     bound = min(m, n)
     while t < bound:
+        # the first entry of least nonzero size in row-major order; nothing
+        # comes before a unit, so the search stops at the first one
         best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
+        for entry in ((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]):
+            if best is None or entry[0] < best[0]:
+                best = entry
+                if entry[0] == 1:
+                    break
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(best[0], t)
-        if best[1] != t:
-            swap_cols(best[1], t)
+        _, i, j = best
+        if i != t:
+            swap_rows(i, t)
+        if j != t:
+            swap_cols(j, t)
+        p = d[t][t]
         for i in range(t + 1, m):
-            q = d[i][t] // d[t][t]
+            q = d[i][t] // p
             if q:
                 add_row(i, t, -q)
         for j in range(t + 1, n):
-            q = d[t][j] // d[t][t]
+            q = d[t][j] // p
             if q:
                 add_col(j, t, -q)
-        if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
-            continue  # remainders are strictly smaller pivots; redo this corner
-        viol = None
-        for i in range(t + 1, m):
-            if any(d[i][j] % d[t][t] for j in range(t + 1, n)):
-                viol = i
-                break
-        if viol is not None:
-            add_row(t, viol, 1)
-            continue
-        if d[t][t] < 0:
+        if p not in (1, -1):  # a unit leaves no remainders and divides everything
+            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
+                continue  # remainders are strictly smaller pivots; redo this corner
+            viol = next((i for i in range(t + 1, m)
+                         if any(d[i][j] % p for j in range(t + 1, n))), None)
+            if viol is not None:
+                add_row(t, viol, 1)
+                continue
+        if p < 0:
             d[t] = [-a for a in d[t]]
             u[t] = [-a for a in u[t]]
         t += 1

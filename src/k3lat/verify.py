@@ -179,9 +179,8 @@ def check_ns_classification() -> dict:
     orbits = orbits_under_generators(form, e8_simple_reflections())
     require(len(orbits) == 3, f"{len(orbits)} W(E8) orbits on A_E8(-2)")
     level_sets = {}
-    for x in form.elements():
-        key = "zero" if not any(x) else str(form.q(x))
-        level_sets.setdefault(key, set()).add(x)
+    for x, qx in form.q_numerators.items():
+        level_sets.setdefault(qx if any(x) else "zero", set()).add(x)
     orbit_sets = {frozenset(o) for o in orbits}
     levels = {frozenset(s) for s in level_sets.values()}
     require(orbit_sets == levels, "W(E8) orbits on A_E8(-2) are not the q level sets")
@@ -349,10 +348,14 @@ def check_property_suites() -> dict:
         form = discriminant_form(lat)
         if form.order > 64:
             continue
-        q = form.q_numerators  # numerators over form.denominator; b once per pair
+        q = form.q_numerators  # numerators over form.denominator, in elements() order
+        qs = list(q.values())
         mod = 2 * form.denominator
-        bad = [(x, y) for x in q for y in q
-               if (q[form.add(x, y)] - q[x] - q[y] - 2 * form.b_numerator(x, y)) % mod]
+        bad = []
+        for x, qx in q.items():
+            b_row, positions = form.rows(x)  # b(x, y) and the place of x + y, for every y
+            bad += [(x, y) for y, qy, b, at in zip(q, qs, b_row, positions)
+                    if (qs[at] - qx - qy - 2 * b) % mod]
         require(not bad, f"polarization fails on {bad[:1]} in {lat}")
         pairs_checked += len(q) ** 2
         bad = [x for x in q if (q[form.scale(3, x)] - 9 * q[x]) % mod]

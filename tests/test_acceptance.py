@@ -67,11 +67,21 @@ def _zero_table(two_d, variant="plain"):
     return EigenspaceReport(0, 0, 0, 0)
 
 
-_b_numerator = FiniteQuadraticForm.b_numerator
+_pairing_row = FiniteQuadraticForm._pairing_row
 
 
-def _b_plus_one(form, x, y):
-    return _b_numerator(form, x, y) + 1
+def _b_plus_one(form, x):
+    """b(x, g_j) + 1 for every generator g_j, in the row that b_numerator and rows read."""
+    return [c + 1 for c in _pairing_row(form, x)]
+
+
+_enumerate_vectors_of_norm = verify.enumerate_vectors_of_norm
+
+
+def _half_space_only(lattice, norm):
+    """The search without the negatives it appends: one of each +-v."""
+    vectors = _enumerate_vectors_of_norm(lattice, norm)
+    return [v for v in vectors if next(c for c in reversed(v) if c) > 0]
 
 
 def _wrong_glue_vector(d):
@@ -101,8 +111,10 @@ def _t_with_the_form_of_ns(n):
         (verify, "eigenspace_dimensions", _zero_table, [8], "check_failed", False),
         # after a full pass has filled every memo, the patch still reaches glue
         (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 11], "bad_input", True),
-        # criterion 11 checks q against b on integer numerators
-        (FiniteQuadraticForm, "b_numerator", _b_plus_one, [11], "check_failed", True),
+        # criterion 11 checks q against b on integer numerators, read from the x P rows
+        (FiniteQuadraticForm, "_pairing_row", _b_plus_one, [11], "check_failed", True),
+        # 240 roots of Gamma16(-1) and 120 of E8(-1), so both root counts fail
+        (verify, "enumerate_vectors_of_norm", _half_space_only, [2, 3], "check_failed", False),
         # (s, t, r) = (22, 0, 0) is not (6, 0, 8)
         (verify, "swap_involution", _identity_on_k3, [5], "check_failed", False),
         # the q_T = -q_NS check fails first, not the later fingerprint check on T
@@ -111,7 +123,7 @@ def _t_with_the_form_of_ns(n):
     ],
     ids=[
         "glue-vector", "i16-pair", "eigenspace-table", "glue-vector-warm", "b-numerator",
-        "identity-involution", "t-with-the-form-of-ns",
+        "half-space-search", "identity-involution", "t-with-the-form-of-ns",
     ],
 )
 def test_domain_error_fails_only_its_criteria(

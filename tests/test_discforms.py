@@ -226,14 +226,17 @@ def test_orbits_refine_q_level_sets():
 
 
 def test_action_table_entry_with_the_wrong_q_is_rejected(monkeypatch):
-    # A_U(2) = (Z/2)^2 has q = 0 at (0, 0) and q = 1 at (1, 1); with reduce
-    # patched, the identity's table sends (1, 1) to (0, 0) and nothing else moves
+    # A_U(2) = (Z/2)^2 has q = 0 at (0, 0) and q = 1 at (1, 1).  The table
+    # pairs each element of elements() with its image; with elements() listing
+    # (0, 0) and (1, 1) in each other's place, the identity's table sends (1, 1)
+    # to (0, 0) and back, and the generator images (1, 0), (0, 1) do not move
     form = discriminant_form(hyperbolic_plane(2))
     ident = [[1, 0], [0, 1]]
     assert (form.q((0, 0)), form.q((1, 1))) == (0, 1)
-    assert action_on_disc(form, ident)[(1, 1)] == (1, 1)
-    reduce = form.reduce
-    monkeypatch.setattr(form, "reduce", lambda c: (0, 0) if reduce(c) == (1, 1) else reduce(c))
+    assert action_on_disc(form, ident)[(1, 1)] == (1, 1)  # and form.q_numerators is built
+    swapped = {(0, 0): (1, 1), (1, 1): (0, 0)}
+    elements = form.elements
+    monkeypatch.setattr(form, "elements", lambda: (swapped.get(x, x) for x in elements()))
     with pytest.raises(BadInputError, match="fails to preserve q"):
         action_on_disc(form, ident)
 

@@ -2,23 +2,42 @@
 
 Sparse ``linalg`` products against the dense products of ``oracles``; the
 memo of Gram invariants against a count of real eliminations; the
-coordinate-wise induced action against a per-element sum; and the integer
-multiply-back check of ``irreducible_factors`` against a factorizer that
-loses a multiplicity or shifts a coefficient.
+coordinate-wise induced action against a per-element sum; the sign-deduplicated
+root span against the span of every vector given; the unit-pivot Smith form
+against its defining identities and the determinantal divisors; the b and
+x + y rows of a discriminant form against ``b_numerator`` and ``add``; and the
+integer multiply-back check of ``irreducible_factors`` against a factorizer
+that loses a multiplicity or shifts a coefficient.
 """
 
+import hashlib
+import itertools
+import json
+import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from k3lat import lattice, linalg, polyfactor
 from k3lat.discforms import action_on_disc, discriminant_form
 from k3lat.elliptic import RatPoly, irreducible_factors
 from k3lat.errors import CheckFailed, DegenerateGramError
-from k3lat.lattice import Lattice, a_n, e8, e8_simple_reflections, hyperbolic_plane, nikulin
+from k3lat.involution import k3_lattice, swap_involution_matrix
+from k3lat.lattice import (
+    Lattice,
+    a_n,
+    direct_sum,
+    e8,
+    e8_simple_reflections,
+    gamma16,
+    hyperbolic_plane,
+    nikulin,
+    rank_one,
+    sublattice_index,
+)
 from oracles import (
     dense_dot,
     dense_mat_mul,
@@ -120,6 +139,121 @@ def test_coordinatewise_action_table_equals_the_per_element_sum(lat, matrices):
     form = discriminant_form(lat)
     for matrix in matrices:
         assert action_on_disc(form, matrix) == per_element_action_table(form, matrix)
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_span_index_ignores_negatives_duplicates_and_zero_vectors(basis, data):
+    det = linalg.bareiss_determinant(basis)
+    assume(det != 0)
+    n = len(basis)
+    lat = Lattice(linalg.identity_matrix(n))
+    assert sublattice_index(lat, basis) == abs(det)
+    extra = data.draw(st.lists(st.sampled_from(range(n)), max_size=3 * n))
+    padded = basis + [[-c for c in basis[i]] for i in extra] + [basis[i] for i in extra]
+    padded += [[0] * n] * data.draw(st.integers(0, 3))
+    padded = data.draw(st.permutations(padded))
+    assert sublattice_index(lat, padded) == abs(det)
+
+
+def _determinantal_divisors(mat):
+    """gcd of the k x k minors for k = 1..rank: d_1 d_2 ... d_k of the Smith form."""
+    m, n = len(mat), len(mat[0])
+    out = []
+    for k in range(1, min(m, n) + 1):
+        g = math.gcd(*(
+            linalg.bareiss_determinant([[mat[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        ))
+        if not g:
+            break
+        out.append(g)
+    return out
+
+
+_NO_UNITS = st.sampled_from([0, 0, 2, -2, 3, -3, 4, 6, -6, 9])
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.booleans()).flatmap(
+        lambda s: st.lists(
+            st.lists(st.integers(-6, 6) if s[2] else _NO_UNITS, min_size=s[1], max_size=s[1]),
+            min_size=s[0], max_size=s[0],
+        )
+    )
+)
+@example([[2, 0], [0, 3]])
+@example([[6, 4], [4, 6]])
+@settings(max_examples=150, deadline=None)
+def test_smith_form_identities_and_determinantal_divisors(mat):
+    m, n = len(mat), len(mat[0])
+    d, u, v = linalg.smith_normal_form(mat)
+    assert linalg.mat_mul(linalg.mat_mul(u, mat), v) == d
+    assert abs(linalg.bareiss_determinant(u)) == abs(linalg.bareiss_determinant(v)) == 1
+    assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [d[i][i] for i in range(min(m, n))]
+    factors = [x for x in diag if x]
+    assert all(x > 0 for x in factors) and diag == factors + [0] * (len(diag) - len(factors))
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert list(itertools.accumulate(factors, lambda a, b: a * b)) == _determinantal_divisors(mat)
+
+
+def test_coprime_non_unit_pivots_still_give_a_divisibility_chain():
+    # no unit entry, and 2 does not divide 3: the chain needs the gcd step
+    assert linalg.invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+
+
+def _swap_plus(sign):
+    return [[x + sign * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(swap_involution_matrix())]
+
+
+#: sha256 (first 16 hex digits) of the JSON of (d, u, v), pinned from the
+#: full-scan pivot search the unit stop replaced: a unit is the first least
+#: entry in row-major order, so the transforms must not change
+_SMITH_PINS = [
+    ("U", hyperbolic_plane().gram_rows(), "67ec546fedca56b8"),
+    ("U(2)", hyperbolic_plane(2).gram_rows(), "ee2fdf79bb4c70ef"),
+    ("E8(-1)", e8(-1).gram_rows(), "5df549d3da7634b8"),
+    ("E8(-2)", e8(-2).gram_rows(), "3079cb98f8d465f3"),
+    ("N", nikulin().gram_rows(), "615792e3def01ea5"),
+    ("A3(-1)", a_n(3, -1).gram_rows(), "be95cd541a0278d6"),
+    ("<-6>", rank_one(-6).gram_rows(), "7581ecbd3ca91e54"),
+    ("U(2)+<2>", direct_sum([hyperbolic_plane(2), rank_one(2)]).gram_rows(), "83abd62272ac6e00"),
+    ("Gamma16(-1)", gamma16(-1).gram_rows(), "6bd3095dc4c0b836"),
+    ("K3", k3_lattice().gram_rows(), "73a08c05310b465c"),
+    ("g-1", _swap_plus(-1), "76731fe81f551c32"),
+    ("g+1", _swap_plus(1), "103099409ae50a9f"),
+]
+
+
+@pytest.mark.parametrize("mat, pin", [p[1:] for p in _SMITH_PINS], ids=[p[0] for p in _SMITH_PINS])
+def test_smith_transforms_of_the_stock_matrices_are_pinned(mat, pin):
+    digest = hashlib.sha256(json.dumps(linalg.smith_normal_form(mat)).encode()).hexdigest()
+    assert digest[:16] == pin
+
+
+_FORMS = [
+    hyperbolic_plane(), hyperbolic_plane(2), e8(-2), nikulin(), a_n(2), a_n(3, -1), a_n(7), rank_one(4),
+    rank_one(-6), rank_one(12), direct_sum([hyperbolic_plane(2), rank_one(2)]),
+    direct_sum([rank_one(4), rank_one(6)]),
+]
+
+
+@pytest.mark.parametrize("lat", _FORMS, ids=repr)
+def test_b_and_sum_rows_equal_b_numerator_and_add(lat):
+    form = discriminant_form(lat)
+    assert form.order <= 256
+    elements = list(form.elements())
+    for x in elements:
+        b_row, positions = form.rows(x)
+        assert b_row == [form.b_numerator(x, y) for y in elements]
+        assert [elements[at] for at in positions] == [form.add(x, y) for y in elements]
 
 
 _POLYS = [

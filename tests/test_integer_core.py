@@ -219,8 +219,11 @@ def _fraction_cholesky_search(gram, norm, cap):
     """(vectors, terms) of norm ``norm`` by the rational Cholesky preprocessing.
 
     Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2 for Q = -gram, scaled to
-    integer rows over each row's common denominator; the search counts terms
-    as enumerate_vectors_of_norm does.  None when it would sum more than cap.
+    integer rows over each row's common denominator.  It walks the full tree,
+    both signs of every vector, but counts only the terms of the nodes that
+    the half-space search of enumerate_vectors_of_norm walks: those where no
+    coordinate is set yet or the first nonzero one set (x_{n-1} downward) is
+    positive.  None when it would count more than cap.
     """
     n = len(gram)
     q = [[Fraction(-x) for x in row] for row in gram]
@@ -241,7 +244,8 @@ def _fraction_cholesky_search(gram, norm, cap):
 
     def descend(i, remaining, shift):
         nonlocal terms
-        terms += n - i
+        if next((c for c in reversed(x[i + 1:]) if c), 1) > 0:
+            terms += n - i
         if terms > cap:
             raise _PastCap
         den, c = dens[i], cs[i]
@@ -301,8 +305,8 @@ def test_search_matches_the_fraction_cholesky_oracle(basis, norm):
 
 
 #: coordinate terms the Gamma16(-1) search at norm -4 sums, the largest search
-#: in the tests
-_GAMMA16_NORM_FOUR_TERMS = 2_078_462
+#: in the tests, over one of each +-v
+_GAMMA16_NORM_FOUR_TERMS = 1_039_299
 
 
 @pytest.mark.parametrize("bound, completes", [(_GAMMA16_NORM_FOUR_TERMS, True),

@@ -1,5 +1,6 @@
 """Involution invariants and the push/pull transfer maps."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from k3lat import (
     swap_involution,
 )
 from k3lat import linalg
+from k3lat.cli import run
 from k3lat.lattice import nikulin_node_coords
 
 F = Fraction
@@ -235,6 +237,19 @@ def test_overlattice_membership_refuses_floats(model):
         for text in ("0" * 22, "1" * 22):  # not read as a vector of its characters
             with pytest.raises(BadInputError):
                 method(text)
+
+
+def test_integral_pulls_skip_the_overlattice_coordinates(model, monkeypatch):
+    # an integral vector lies in U(2)^3 + N + E8(-1), inside the glued lattice,
+    # so its pull is its column of the pull matrix without the membership product
+    glue = [F(1, 2)] + [0] * 5 + [0, 0, 0, F(-1, 2), F(-1, 2), F(-1, 2), F(-1, 2), 1] + [0] * 8
+    assert model.pull(glue) == [1] + [0] * 21 + [1, 1, 1, 0, 0, 0, 0, 1]
+    refused = run(["k3", "pull", "--vector", json.dumps(["1/2"] + [0] * 21)])
+    assert (refused.exit_code, refused.error_code) == (1, "bad_input")
+    monkeypatch.setattr(model, "overlattice", None)
+    for i in range(22):
+        w = [int(i == j) for j in range(22)]
+        assert model.pull(w) == [row[i] for row in model.pull_matrix]
 
 
 def test_pull_extended_rejects_outside_vectors(model):
