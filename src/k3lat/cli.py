@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .errors import JsonInputError, K3LatError, decimal
+from .errors import JsonInputError, K3LatError, UnsupportedError, decimal
 
 
 def _lazy(name: str):
@@ -121,11 +121,21 @@ def _cmd_lattice_show(ns):
     return _load_lattice(ns).to_json(), []
 
 
+#: coordinates a ``--vectors`` listing may print: Gamma16(-1) at norm -4 lists
+#: 990,720 in ~1 s, and E8(-1) at norm -20, 2,177,280 of them, took 2.3 s and 89 MB
+_LISTING_BOUND = 2 ** 20
+
+
 def _cmd_lattice_roots(ns):
     lat = _load_lattice(ns)
     vectors = lattice.enumerate_vectors_of_norm(lat, ns.norm)
     payload = {"norm": ns.norm, "count": len(vectors)}
     if ns.vectors:
+        if len(vectors) * lat.rank > _LISTING_BOUND:
+            raise UnsupportedError(
+                f"{len(vectors)} vectors of norm {ns.norm} in a rank-{lat.rank} lattice: listing them "
+                f"prints {len(vectors) * lat.rank} coordinates, past the bound {_LISTING_BOUND}"
+            )
         payload["vectors"] = [list(v) for v in vectors]
     return payload, []
 
@@ -246,9 +256,11 @@ def _cmd_verify_paper(ns):
 
 
 def _add_lattice_source(parser):
-    parser.add_argument("--std", choices=lattice._STANDARD_KINDS)
+    kinds = lattice._STANDARD_CONSTRUCTORS
+    parser.add_argument("--std", choices=kinds)
     parser.add_argument("--twist", type=int, default=1)
-    parser.add_argument("--param", type=int, default=None, help="n for An, m for rank1")
+    takes = ", ".join(f"{param} for {kind}" for kind, (_, param) in kinds.items() if param)
+    parser.add_argument("--param", type=int, default=None, help=takes)
     parser.add_argument("--file", help="lattice JSON file")
 
 

@@ -93,7 +93,7 @@ def glue(data: GlueData) -> Overlattice:
     """
     base = data.base
     n = base.rank
-    gram = base.gram_rows()
+    gram = base.gram
     pairings = []  # G v on ints, one per glue vector
     for den, w in data.glue_vectors:
         gw = linalg.mat_vec(gram, w)
@@ -195,8 +195,8 @@ _GLUE_PATTERN = (
 )
 
 
-def u2cubed_nikulin_glue_vectors() -> list[list[Fraction]]:
-    """The six half-integer glue vectors in U(2)^3 + N coordinates."""
+def _u2cubed_nikulin_glue() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The six glue vectors as (2, twice the vector); an odd U(2)^3 entry makes 2 least."""
     out = []
     for kind, copy, nodes in _GLUE_PATTERN:
         doubled = [0] * 14
@@ -204,13 +204,18 @@ def u2cubed_nikulin_glue_vectors() -> list[list[Fraction]]:
         for i in nodes:
             for j, c in enumerate(nikulin_node_coords(i)):
                 doubled[6 + j] += c
-        out.append([Fraction(c, 2) for c in doubled])
-    return out
+        out.append((2, tuple(doubled)))
+    return tuple(out)
+
+
+def u2cubed_nikulin_glue_vectors() -> list[list[Fraction]]:
+    """The six half-integer glue vectors in U(2)^3 + N coordinates."""
+    return [[Fraction(c, den) for c in w] for den, w in _u2cubed_nikulin_glue()]
 
 
 def u2cubed_nikulin_overlattice() -> Overlattice:
     """Even unimodular overlattice of U(2)^3 + N (rank 14, signature (3,11))."""
-    return glue(GlueData.of(u2cubed_nikulin_base(), u2cubed_nikulin_glue_vectors()))
+    return glue(GlueData(u2cubed_nikulin_base(), _u2cubed_nikulin_glue()))
 
 
 def nikulin_square_base() -> Lattice:
@@ -246,7 +251,7 @@ def nikulin_square_in_gamma16() -> int:
             v[i], v[i + 8] = 2, 2 * sign
             doubled.append(v)
         doubled.append([1] * 8 + [sign] * 8)  # (Nhat, 0), (0, Nhat)
-    gram = nikulin_square_base().gram_rows()
+    gram = nikulin_square_base().gram
     # Gamma16(-1): the bilinear form is minus the standard dot product
     bad = next(((i, j) for i in range(16) for j in range(16)
                 if -linalg.dot(doubled[i], doubled[j]) != 4 * gram[i][j]), None)

@@ -53,7 +53,7 @@ class InvolutionModule:
             raise BadInputError("action matrix must be square of the lattice rank")
         if not linalg.mat_eq(linalg.mat_mul(g, g), linalg.identity_matrix(n)):
             raise BadInputError("action is not an involution (g^2 != 1)")
-        gram = lattice.gram_rows()
+        gram = lattice.gram
         if not linalg.mat_eq(
             linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(gram, g)), gram
         ):
@@ -100,7 +100,7 @@ def invariant_and_antiinvariant(module: InvolutionModule) -> FixedSublattices:
     g = module.action_rows()
     diff = linalg.mat_sub(g, linalg.identity_matrix(n))
     inv_basis = linalg.integer_kernel(diff)
-    gram = module.lattice.gram_rows()
+    gram = module.lattice.gram
     inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram))
     anti_lat, anti_basis = orthogonal_complement(module.lattice, inv_basis)
     for which, basis in (("invariant", inv_basis), ("anti-invariant", anti_basis)):
@@ -249,8 +249,8 @@ class QuotientCohomology:
         with their (holding) values, the (s, t, r) of the swap and the
         fingerprint of the glued Y lattice.
         """
-        g_y = self.y_sub.gram_rows()
-        g_xt = self.blowup.gram_rows()
+        g_y = self.y_sub.gram
+        g_xt = self.blowup.gram
         p, q = self.push_matrix, self.pull_matrix
         checks = {
             "push_after_involution": linalg.mat_eq(linalg.mat_mul(p, self.iota_tilde), p),

@@ -15,7 +15,8 @@ integer square roots and integer floor/ceil, so results are complete and
 deterministic.
 
 Values are immutable after construction and every operation is pure, so
-concurrent reads are safe.
+concurrent reads are safe.  Each standard constructor scales its Gram by the
+twist, by the rule ``Lattice.twist`` follows, and builds one ``Lattice``.
 """
 
 from __future__ import annotations
@@ -118,19 +119,14 @@ class Lattice:
         """Bilinear pairing of two coordinate vectors (ints or Fractions)."""
         if len(v) != self.rank or len(w) != self.rank:
             raise BadInputError("vector length must equal the lattice rank")
-        return linalg.dot(v, w, self.gram_rows())
+        return linalg.dot(v, w, self.gram)
 
     def norm(self, v):
         return self.inner(v, v)
 
     def twist(self, n: int) -> "Lattice":
         """Same Z-module with the form multiplied by n (the M(n) convention)."""
-        if n == 0:
-            raise BadInputError("twist must be nonzero")
-        name = None
-        if self.name:
-            name = self.name if n == 1 else f"{self.name}({n})"
-        return Lattice([[n * x for x in row] for row in self.gram], self.labels, name)
+        return _twisted(self.gram, n, self.labels, self.name)
 
     def to_json(self) -> dict:
         out = {"gram": self.gram_rows()}
@@ -161,13 +157,21 @@ class Lattice:
         return f"<Lattice {tag}, det {self.determinant}>"
 
 
+def _twisted(gram, n: int, labels, name) -> Lattice:
+    """The lattice of ``gram`` scaled by n, named ``name(n)`` unless n = 1; n = 0 is refused."""
+    if n == 0:
+        raise BadInputError("twist must be nonzero")
+    name = (name if n == 1 else f"{name}({n})") if name else None
+    return Lattice([[n * x for x in row] for row in gram], labels, name)
+
+
 # ---------------------------------------------------------------------------
 # standard constructors
 
 
 def hyperbolic_plane(twist: int = 1) -> Lattice:
     """U: Gram [[0,1],[1,0]], scaled by the twist."""
-    return Lattice([[0, 1], [1, 0]], ("e", "f"), "U").twist(twist)
+    return _twisted([[0, 1], [1, 0]], twist, ("e", "f"), "U")
 
 
 # E8 Cartan matrix, Bourbaki numbering: chain 1-3-4-5-6-7-8 with 2 hanging
@@ -182,7 +186,7 @@ def e8(twist: int = 1) -> Lattice:
         g[i][i] = 2
     for a, b in _E8_EDGES:
         g[a - 1][b - 1] = g[b - 1][a - 1] = -1
-    return Lattice(g, tuple(f"a{i}" for i in range(1, 9)), "E8").twist(twist)
+    return _twisted(g, twist, tuple(f"a{i}" for i in range(1, 9)), "E8")
 
 
 #: largest n for A_n.  A root lattice in a K3 lattice has rank at most 19; at
@@ -202,14 +206,14 @@ def a_n(n: int, twist: int = 1) -> Lattice:
         g[i][i] = 2
         if i + 1 < n:
             g[i][i + 1] = g[i + 1][i] = -1
-    return Lattice(g, tuple(f"a{i}" for i in range(1, n + 1)), f"A{n}").twist(twist)
+    return _twisted(g, twist, tuple(f"a{i}" for i in range(1, n + 1)), f"A{n}")
 
 
 def rank_one(m: int, twist: int = 1) -> Lattice:
     """Rank-1 lattice <m>."""
     if m == 0:
         raise BadInputError("rank-1 lattice needs a nonzero norm")
-    return Lattice([[m]], ("L",), f"<{m}>").twist(twist)
+    return _twisted([[m]], twist, ("L",), f"<{m}>")
 
 
 def nikulin(twist: int = 1) -> Lattice:
@@ -224,7 +228,7 @@ def nikulin(twist: int = 1) -> Lattice:
         g[i][7] = g[7][i] = -1
     g[7][7] = -4
     labels = tuple(f"N{i}" for i in range(1, 8)) + ("Nhat",)
-    return Lattice(g, labels, "N").twist(twist)
+    return _twisted(g, twist, labels, "N")
 
 
 def nikulin_node_coords(i: int) -> list[int]:
@@ -248,7 +252,7 @@ def e8_simple_reflections() -> list[list[list[int]]]:
     Integer matrices on the Cartan basis; the reflection formula only uses
     pairing ratios, so the same matrices are isometries of every twist E8(n).
     """
-    cartan = e8().gram_rows()
+    cartan = e8().gram
     mats = []
     for i in range(8):
         m = linalg.identity_matrix(8)
@@ -274,7 +278,7 @@ def gamma16(twist: int = 1) -> Lattice:
     vecs = _gamma16_doubled_basis()
     g = [[linalg.dot(v, w) // 4 for w in vecs] for v in vecs]  # (2v).(2w) = 4 v.w exactly
     labels = tuple(f"d{i}" for i in range(1, 16)) + ("s",)
-    return Lattice(g, labels, "Gamma16").twist(twist)
+    return _twisted(g, twist, labels, "Gamma16")
 
 
 def gamma16_contains_doubled(y) -> bool:
@@ -311,40 +315,32 @@ def gamma16_coordinates_doubled(y) -> list[int]:
     return coords
 
 
-_STANDARD_KINDS = ("U", "E8", "An", "rank1", "NikulinN", "Gamma16")
+#: the named standard lattices: kind -> (constructor, name of its --param or None)
+_STANDARD_CONSTRUCTORS = {
+    "U": (hyperbolic_plane, None), "E8": (e8, None), "An": (a_n, "n"), "rank1": (rank_one, "m"),
+    "NikulinN": (nikulin, None), "Gamma16": (gamma16, None),
+}
 # the worked examples of ``nsfamilies.moduli_dimension`` and the seed of the
 # acceptance checks in ``verify``: their one home is here, where the CLI's
-# parser reads them with ``_STANDARD_KINDS`` without executing those modules
+# parser reads them with ``_STANDARD_CONSTRUCTORS`` without executing those modules
 _MODULI_EXAMPLES = ("M2", "M6", "M4", "M4tilde", "M8", "M8tilde")
 DEFAULT_SEED = 0
 
 
 def standard_lattice(kind: str, twist: int = 1, param: int | None = None) -> Lattice:
-    """Dispatcher over the named standard lattices (CLI surface).
-
-    ``param`` is the subscript n for An and the norm m for rank1.
-    """
+    """A kind of ``_STANDARD_CONSTRUCTORS``, twisted (CLI surface); ``param`` is its --param."""
     if twist == 0:
         raise BadInputError("twist must be nonzero")
-    if kind == "U":
-        return hyperbolic_plane(twist)
-    if kind == "E8":
-        return e8(twist)
-    if kind == "An":
-        if param is None:
-            raise BadInputError("An needs --param n")
-        return a_n(param, twist)
-    if kind == "rank1":
-        if param is None:
-            raise BadInputError("rank1 needs --param m")
-        return rank_one(param, twist)
-    if kind == "NikulinN":
-        return nikulin(twist)
-    if kind == "Gamma16":
-        return gamma16(twist)
-    raise BadInputError(
-        f"unknown lattice kind {kind!r}; expected one of {', '.join(_STANDARD_KINDS)}"
-    )
+    if kind not in _STANDARD_CONSTRUCTORS:
+        raise BadInputError(
+            f"unknown lattice kind {kind!r}; expected one of {', '.join(_STANDARD_CONSTRUCTORS)}"
+        )
+    make, param_name = _STANDARD_CONSTRUCTORS[kind]
+    if param_name is None:
+        return make(twist)
+    if param is None:
+        raise BadInputError(f"{kind} needs --param {param_name}")
+    return make(param, twist)
 
 
 def direct_sum(parts, name=None) -> Lattice:
@@ -400,11 +396,11 @@ def orthogonal_complement(lattice: Lattice, vectors):
     if not vecs:
         basis = [list(row) for row in linalg.identity_matrix(n)]
         return lattice, basis
-    pairing = [linalg.mat_vec(lattice.gram_rows(), v) for v in vecs]
+    pairing = [linalg.mat_vec(lattice.gram, v) for v in vecs]
     kernel = linalg.integer_kernel(pairing)
     if not kernel:
         return Lattice([], None, None), []
-    gram = linalg.pairing_matrix(kernel, lattice.gram_rows())
+    gram = linalg.pairing_matrix(kernel, lattice.gram)
     try:
         comp = Lattice(gram)
     except DegenerateGramError as exc:

@@ -5,8 +5,9 @@ parity conditions on the glue vector), transcendental-lattice fingerprints of
 stock primitive embeddings, the determinant square-class obstruction, the
 eigenspace dimensions derived from the fixed-point split, invariant-monomial
 counting, the moduli counts of the six worked projective families (all equal
-to 11), and the rank-17 Neron-Severi/transcendental pairs <2n> + E8(-1)^2,
-<-2n> + U^2 read off their model in U^3 + E8(-1)^2.
+to 11, five of them read off the eigenspace dimensions), and the rank-17
+Neron-Severi/transcendental pairs <2n> + E8(-1)^2, <-2n> + U^2 read off their
+model in U^3 + E8(-1)^2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadInputError, NotPrimitiveError, require
 from . import linalg
@@ -88,14 +88,13 @@ def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
         raise BadInputError(
             f"glue vector norm {norm} violates the parity condition for d = {d}"
         )
-    half = [Fraction(1, 2)] + [Fraction(c, 2) for c in v]
-    over = glue(GlueData.of(base, [half]))
+    over = glue(GlueData(base, ((2, (1, *v)),)))  # (L + v) / 2; den 2 is least
     require(over.glue_order == 2, f"{base.name} glued along v = {v}: index {over.glue_order}")
     e8_rows = [list(over.inclusion[i]) for i in range(1, 9)]
     primitive, torsion = is_primitive(over.lattice, e8_rows)
     if not primitive:
         raise NotPrimitiveError(f"E8(-2) is not primitive in the overlattice: {torsion}")
-    lat = Lattice(over.lattice.gram_rows(), name=f"<{two_d}>~ + E8(-2)")
+    lat = Lattice(over.lattice.gram, name=f"<{two_d}>~ + E8(-2)")
     return NSFamilyDescriptor(two_d, "tilde", lat, v, over)
 
 
@@ -252,46 +251,44 @@ def count_invariant_monomials(
     )
 
 
+#: (L^2, variant) of the worked examples whose model lies in P(H^0(L))
+_MODULI_FAMILIES = {"M2": (2, "plain"), "M4": (4, "plain"), "M6": (6, "plain"),
+                    "M8": (8, "plain"), "M8tilde": (8, "tilde")}
+
+
 def moduli_dimension(example: str) -> int:
     """Moduli count of the worked projective families; always 11.
 
-    Each branch spells out the published arithmetic with named terms:
-    parameter-space dimensions (monomial counts or Grassmannians) minus the
-    dimension of the commuting linear symmetry group.
+    Each count is a parameter-space dimension (monomial counts or
+    Grassmannians) less the dimension of the linear symmetries commuting with
+    the involution.  For the examples of ``_MODULI_FAMILIES``, (h+, h-) from
+    ``eigenspace_dimensions`` gives the n = h+ + h- coordinates, h- of them
+    negated, and the group GL(h+) x GL(h-) of dimension h+^2 + h-^2.
     """
-    if example == "M2":
-        sextics = count_invariant_monomials(3, {0}, 6)  # 16
-        symmetries = 1 + 4  # scalings of x_0 times GL(2) on the fixed plane
-        return sextics - symmetries
-    if example == "M6":
-        quadrics = count_invariant_monomials(5, {0, 1}, 2)  # 3 + 6 = 9
-        cubics = count_invariant_monomials(5, {0, 1}, 3)  # 3*3 + 10 = 19
-        quadric_multiples = count_invariant_monomials(3, set(), 1)  # 3 linear forms
-        group = 4 + 9  # GL(2) x GL(3)
-        return (quadrics - 1) + (cubics - 1) - quadric_multiples - (group - 1)
-    if example == "M4":
-        quartics = count_invariant_monomials(4, {0, 1}, 4)  # 5 + 9 + 5 = 19
-        group = 4 + 4  # GL(2) x GL(2)
-        return quartics - group
     if example == "M4tilde":
+        # written out: v^2 = -4, so E = (L + v)/2 has E^2 = 0 and L.E = 2, L is hyperelliptic
+        # and phi_L is 2:1 onto a quadric (Saint-Donat, Amer. J. Math. 96 (1974))
         conics = count_invariant_monomials(3, set(), 2)  # 6
         quartics = count_invariant_monomials(3, set(), 4)  # 15
         group = 9  # GL(3)
         return (conics - 1) + (quartics - 1) - (group - 1)
-    if example == "M8":
-        split_quadrics = count_invariant_monomials(6, {3, 4, 5}, 2)  # 6 + 6 = 12
-        bilinear = count_invariant_monomials(6, {3, 4, 5}, 2, "anti_invariant")  # 9
-        grassmannian = 2 * (split_quadrics - 2)  # planes in the 12-dim space
-        group = 9 + 9  # GL(3) x GL(3)
-        return grassmannian + (bilinear - 1) - (group - 1)
-    if example == "M8tilde":
-        quadric_space = count_invariant_monomials(6, {4, 5}, 2)  # 10 + 3 = 13
-        grassmannian = 3 * (quadric_space - 3)  # 3-spaces in the 13-dim space
-        group = 4 + 16  # GL(2) x GL(4)
-        return grassmannian - (group - 1)
-    raise BadInputError(
-        f"unsupported example {example!r}; expected one of {', '.join(_MODULI_EXAMPLES)}"
-    )
+    if example not in _MODULI_FAMILIES:
+        raise BadInputError(
+            f"unsupported example {example!r}; expected one of {', '.join(_MODULI_EXAMPLES)}"
+        )
+    eig = eigenspace_dimensions(*_MODULI_FAMILIES[example])
+    n = eig.h_plus + eig.h_minus
+    group = eig.h_plus ** 2 + eig.h_minus ** 2
+    forms = functools.partial(count_invariant_monomials, n, range(eig.h_plus, n))
+    if example == "M2":
+        return forms(6) - group  # sextics
+    if example == "M4":
+        return forms(4) - group  # quartics
+    if example == "M6":  # a quadric and a cubic, less the linear multiples of the quadric
+        return (forms(2) - 1) + (forms(3) - 1) - forms(1) - (group - 1)
+    if example == "M8":  # a plane of split quadrics and a bilinear form
+        return 2 * (forms(2) - 2) + (forms(2, "anti_invariant") - 1) - (group - 1)
+    return 3 * (forms(2) - 3) - (group - 1)  # M8tilde: a 3-space of quadrics
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +306,6 @@ class MorrisonNikulinReport:
 def morrison_nikulin_lattices(n: int) -> MorrisonNikulinReport:
     """NS and T = NS^perp of ``k3_model_morrison_nikulin(n)``."""
     ambient, ns_basis = k3_model_morrison_nikulin(n)
-    ns = Lattice(linalg.pairing_matrix(ns_basis, ambient.gram_rows()))
+    ns = Lattice(linalg.pairing_matrix(ns_basis, ambient.gram))
     t, _basis = orthogonal_complement(ambient, ns_basis)
     return MorrisonNikulinReport(ns, t, lattice_fingerprint(ns), lattice_fingerprint(t))

@@ -152,7 +152,7 @@ def check_involution_invariants() -> dict:
     expect_anti = lattice_fingerprint(e8(-2))
     require(fp_inv == expect_inv, "invariant sublattice fingerprint is not that of U^3 + E8(-2)")
     require(fp_anti == expect_anti, "anti-invariant sublattice fingerprint is not that of E8(-2)")
-    gram = module.lattice.gram_rows()
+    gram = module.lattice.gram
     clash = [(u, v) for u in pair.invariant_basis for v in pair.anti_invariant_basis
              if linalg.dot(u, v, gram) != 0]
     require(not clash, f"invariant and anti-invariant vectors {clash[:1]} are not orthogonal")

@@ -1,11 +1,12 @@
 """CLI surface: payload shapes, exit codes, JSON round trips."""
 
+import argparse
 import json
 import time
 
 import pytest
 
-from k3lat import polyfactor
+from k3lat import lattice, polyfactor
 from k3lat.cli import build_parser, main, run
 from k3lat.gluing import u2cubed_nikulin_base, u2cubed_nikulin_glue_vectors
 from k3lat.lattice import Lattice, direct_sum, e8
@@ -494,6 +495,31 @@ def test_short_vector_search_past_its_term_bound_is_unsupported(
     source = [str(path) if a == "E8^8" else a for a in source]
     argv = ["lattice", "roots"] + source + ["--norm", norm]
     _assert_refused_within_a_second(argv, "unsupported", message, capsys)
+
+
+def test_vector_listing_past_its_coordinate_bound_is_unsupported(capsys):
+    # 272,160 vectors of E8(-1) at norm -20 are 2,177,280 coordinates, 2^20 the
+    # bound; the listing took 2.3 s after the search, the count alone stays
+    source = ["lattice", "roots", "--std", "E8", "--twist", "-1", "--norm", "-20"]
+    message = ("272160 vectors of norm -20 in a rank-8 lattice: listing them prints "
+               "2177280 coordinates, past the bound 1048576")
+    _assert_refused_within_a_second(source + ["--vectors"], "unsupported", message, capsys)
+    assert _ok(source) == {"norm": -20, "count": 272160}
+
+
+def test_std_choices_are_the_table_of_standard_kinds():
+    def sub(parser, name):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices[name]
+
+    for command in (["lattice", "info"], ["lattice", "show"], ["lattice", "roots"], ["disc"]):
+        parser = build_parser()
+        for name in command:
+            parser = sub(parser, name)
+        std = next(a for a in parser._actions if a.dest == "std")
+        param = next(a for a in parser._actions if a.dest == "param")
+        assert list(std.choices) == list(lattice._STANDARD_CONSTRUCTORS)
+        assert param.help == "n for An, m for rank1"
 
 
 def test_a_n_past_its_bound_is_unsupported(capsys):

@@ -1,5 +1,6 @@
 """Discriminant forms: group structure, q/b values, subgroups, orbits."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,22 @@ def test_subgroup_bound_covers_two_elementary_groups():
     form = discriminant_form(direct_sum([hyperbolic_plane(2)] * 7))
     with pytest.raises(UnsupportedError, match="exceeds the enumeration bound 4096"):
         enumerate_isotropic_subgroups(form, 4)
+
+
+def test_u2_fourth_power_order_four_stays_under_the_work_bound():
+    # its closures visit 36,450 elements, about half the bound
+    form = discriminant_form(direct_sum([hyperbolic_plane(2)] * 4))
+    assert len(enumerate_isotropic_subgroups(form, 4)) == 1575
+
+
+@pytest.mark.parametrize("copies, order", [(4, 8), (5, 4), (5, 8), (6, 4)])
+def test_subgroup_search_past_its_work_bound_is_unsupported(copies, order):
+    # these ran 8.6 s, 2.9 s, past 15 s and past 20 s before the work bound
+    form = discriminant_form(direct_sum([hyperbolic_plane(2)] * copies))
+    start = time.process_time()
+    with pytest.raises(UnsupportedError, match="past the bound 65536"):
+        enumerate_isotropic_subgroups(form, order)
+    assert time.process_time() - start < 1.0
 
 
 def test_nonexistent_order_returns_empty():

@@ -203,6 +203,19 @@ def test_gamma16_stabilizes_against_e8_pair():
     assert lattice_fingerprint(left) == lattice_fingerprint(right)
 
 
+def test_stock_glue_data_on_ints_is_the_cleared_halves():
+    # built from the doubled ints, each datum equals GlueData.of of the Fraction
+    # halves (den 2 least), so glue's memo hands back the same overlattice
+    over = u2cubed_nikulin_overlattice()
+    assert glue(GlueData.of(u2cubed_nikulin_base(), u2cubed_nikulin_glue_vectors())) is over
+    from k3lat.nsfamilies import plain_family, tilde_family
+
+    for two_d in (4, 8):
+        fam = tilde_family(two_d)
+        halves = [F(1, 2)] + [F(c, 2) for c in fam.glue_vector]
+        assert glue(GlueData.of(plain_family(two_d).lattice, [halves])) is fam.overlattice
+
+
 def test_tilde_glue_determinant_law():
     from k3lat.nsfamilies import tilde_family
 

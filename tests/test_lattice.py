@@ -118,6 +118,27 @@ def test_standard_lattice_dispatch_and_errors():
         standard_lattice("rank1", 1, param=0)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [(hyperbolic_plane, "U(-2)"), (e8, "E8(-2)"), (lambda t: a_n(3, t), "A3(-2)"),
+     (lambda t: rank_one(6, t), "<6>(-2)"), (nikulin, "N(-2)"), (gamma16, "Gamma16(-2)")],
+    ids=["U", "E8", "An", "rank1", "NikulinN", "Gamma16"],
+)
+def test_standard_constructor_builds_one_lattice(monkeypatch, make, name):
+    # the twist scales the Gram before the one construction, not after it
+    built = []
+    init = Lattice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "__init__", counting_init)
+    lat = make(-2)
+    assert len(built) == 1
+    assert lat.name == name and lat.twist(1).name == name
+
+
 def test_direct_sum_k3_lattice():
     lat = direct_sum([hyperbolic_plane()] * 3 + [e8(-1), e8(-1)])
     assert lat.rank == 22

@@ -20,6 +20,9 @@ from k3lat import (
     rank_one,
     transcendental_fingerprint,
 )
+from k3lat import nsfamilies, verify
+from k3lat.errors import CheckFailed
+from k3lat.lattice import _MODULI_EXAMPLES
 from k3lat.nsfamilies import (
     canonical_glue_vector,
     k3_model_morrison_nikulin,
@@ -267,6 +270,32 @@ def test_monomial_validation():
 @pytest.mark.parametrize("example", ["M2", "M6", "M4", "M4tilde", "M8", "M8tilde"])
 def test_all_moduli_are_eleven(example):
     assert moduli_dimension(example) == 11
+
+
+def test_moduli_counts_read_the_eigenspaces():
+    # (h+, h-, dim GL(h+) x GL(h-)); M4tilde, the hyperelliptic case, is written out
+    expected = {"M2": (2, 1, 5), "M4": (2, 2, 8), "M6": (3, 2, 13), "M8": (3, 3, 18),
+                "M8tilde": (4, 2, 20)}
+    got = {}
+    for example, (two_d, variant) in nsfamilies._MODULI_FAMILIES.items():
+        rep = eigenspace_dimensions(two_d, variant)
+        got[example] = (rep.h_plus, rep.h_minus, rep.h_plus ** 2 + rep.h_minus ** 2)
+    assert got == expected
+    assert sorted([*nsfamilies._MODULI_FAMILIES, "M4tilde"]) == sorted(_MODULI_EXAMPLES)
+
+
+def test_wrong_fixed_point_split_fails_the_moduli_count(monkeypatch):
+    # (2, 6) for L^2 = 2 mod 4 gives (h+, h-) = (2, 3): M6 counts 9, so a wrong
+    # table row cannot hide behind a hand-written count
+    tabled = {}  # the table criterion 8 checks, as it reads before the mutation
+    for args in ((2, "plain"), (6, "plain"), (8, "plain"), (12, "plain"), (4, "tilde"),
+                 (8, "tilde")):
+        tabled[args] = eigenspace_dimensions(*args)
+    monkeypatch.setitem(nsfamilies._FIXED_POINT_SPLIT, ("plain", 2), (2, 6))
+    assert moduli_dimension("M6") == 9
+    monkeypatch.setattr(verify, "eigenspace_dimensions", lambda *args: tabled[args])
+    with pytest.raises(CheckFailed, match="M6 moduli 9 != 11"):
+        verify.check_eigenspaces_and_moduli()
 
 
 def test_moduli_rejects_unsupported():
