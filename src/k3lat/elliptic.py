@@ -20,11 +20,6 @@ over Q come from ``polyfactor`` (Zassenhaus on Python ints), memoized on the
 integer-primitive coefficients, since the quotient's b is f's c and its c is
 16 f.b.
 
-Moduli note: the Weierstrass parameter count for the generic family is
-5 + 9 = 14 coefficients minus 1 for the (x, y) scaling and minus 3 for the
-automorphisms of the base line, read as PGL(2) of dimension 3, giving 10; the
-toolkit asserts the matching value 20 - picard_rank elsewhere.
-
 Only multiplicative fibers are classified.  Additive places (where the
 irreducible factor divides both a and b, equivalently both b and a^2 - 4b)
 are detected and flagged "additive/unsupported", never typed.
@@ -273,16 +268,23 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
 # fibrations
 
 
+#: deg a <= 4 and deg b <= 8 keep the model K3-sized.  The generic family has
+#: 5 + 9 coefficients, less 1 for the (x, y) scaling and 3 for PGL(2); criterion
+#: 9 of ``verify`` compares that count with 20 - rho.
+A_DEGREE, B_DEGREE = 4, 8
+MODULI_COUNT = (A_DEGREE + 1) + (B_DEGREE + 1) - 1 - 3
+
+
 class WeierstrassFibration:
     """y^2 = x(x^2 + a(t)x + b(t)) with deg a <= 4, deg b <= 8 and Delta != 0."""
 
     def __init__(self, a, b):
         a = a if isinstance(a, RatPoly) else RatPoly(a)
         b = b if isinstance(b, RatPoly) else RatPoly(b)
-        if a.degree > 4:
-            raise BadInputError("deg a must be at most 4")
-        if b.degree > 8:
-            raise BadInputError("deg b must be at most 8")
+        if a.degree > A_DEGREE:
+            raise BadInputError(f"deg a must be at most {A_DEGREE}")
+        if b.degree > B_DEGREE:
+            raise BadInputError(f"deg b must be at most {B_DEGREE}")
         c = a * a - 4 * b
         if b.is_zero or c.is_zero:
             raise BadInputError("degenerate family: discriminant b^2(a^2-4b) vanishes")
@@ -374,7 +376,7 @@ def fiber_configuration(f: WeierstrassFibration) -> FiberReport:
         places.append(FiberPlace(str(factor), factor, factor.degree, order, kodaira))
     m_inf = 24 - 2 * f.b.degree - f.c.degree
     if m_inf > 0:
-        additive = f.a.degree < 4 and f.b.degree < 8
+        additive = f.a.degree < A_DEGREE and f.b.degree < B_DEGREE
         kodaira = ADDITIVE if additive else f"I{m_inf}"
         places.append(FiberPlace("infinity", None, 1, m_inf, kodaira))
     report = FiberReport(places)

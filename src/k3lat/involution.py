@@ -123,13 +123,8 @@ def k3_lattice() -> Lattice:
 
 def swap_involution_matrix() -> list[list[int]]:
     """Involution of U^3 + E8(-1)^2 fixing U^3 and swapping the E8 blocks."""
-    m = [[0] * 22 for _ in range(22)]
-    for i in range(6):
-        m[i][i] = 1
-    for j in range(8):
-        m[6 + j][14 + j] = 1
-        m[14 + j][6 + j] = 1
-    return m
+    ident = linalg.identity_matrix(22)
+    return ident[:6] + ident[14:] + ident[6:14]
 
 
 def swap_involution() -> InvolutionModule:
@@ -150,13 +145,7 @@ class QuotientCohomology:
         self.blowup = direct_sum(
             [self.k3, minus_one_sum(8)], name="U^3 + E8(-1)^2 + <-1>^8"
         )
-        iota_tilde = [[0] * 30 for _ in range(30)]
-        for i in range(22):
-            for j in range(22):
-                iota_tilde[i][j] = self.iota[i][j]
-        for i in range(22, 30):
-            iota_tilde[i][i] = 1
-        self.iota_tilde = iota_tilde
+        self.iota_tilde = [row + [0] * 8 for row in self.iota] + linalg.identity_matrix(30)[22:]
         self.y_sub = direct_sum(
             [hyperbolic_plane(2)] * 3 + [nikulin(), e8(-1)],
             name="U(2)^3 + N + E8(-1)",

@@ -3,11 +3,11 @@
 Covers the dichotomy <2d> + E8(-2) versus its index-2 overlattice (with the
 parity conditions on the glue vector), transcendental-lattice fingerprints of
 stock primitive embeddings, the determinant square-class obstruction, the
-eigenspace dimensions derived from the fixed-point split, invariant-monomial
-counting, the moduli counts of the six worked projective families (all equal
-to 11, five of them read off the eigenspace dimensions), and the rank-17
-Neron-Severi/transcendental pairs <2n> + E8(-1)^2, <-2n> + U^2 read off their
-model in U^3 + E8(-1)^2.
+eigenspace dimensions from the fixed-point split read off the push of the
+polarization, invariant-monomial counting, the moduli counts of the six worked
+projective families (all 11, five of them read off the eigenspace dimensions),
+and the rank-17 Neron-Severi/transcendental pairs <2n> + E8(-1)^2,
+<-2n> + U^2 read off their model in U^3 + E8(-1)^2.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from .errors import BadInputError, NotPrimitiveError, require
 from . import linalg
 from .discforms import Fingerprint, lattice_fingerprint
-from .gluing import GlueData, Overlattice, glue, is_primitive, nikulin_square_overlattice
-from .involution import k3_lattice
+from .gluing import (_GLUE_PATTERN, GlueData, Overlattice, glue, is_primitive,
+                     nikulin_square_overlattice)
+from .involution import QuotientCohomology, k3_lattice
 from .lattice import (
     _MODULI_EXAMPLES,
     Lattice,
@@ -137,18 +138,7 @@ def k3_model_with_u_plus_n():
 
 def k3_model_morrison_nikulin(n: int):
     """(ambient, ns_basis) with ns = <2n> + E8(-1)^2 inside U^3 + E8(-1)^2."""
-    if n < 1:
-        raise BadInputError("need n >= 1")
-    ambient = k3_lattice()
-    first = [0] * 22
-    first[0] = 1
-    first[1] = n  # e_1 + n f_1 has norm 2n
-    ns_basis = [first]
-    for j in range(16):
-        v = [0] * 22
-        v[6 + j] = 1
-        ns_basis.append(v)
-    return ambient, ns_basis
+    return k3_lattice(), [polarization(2 * n)] + linalg.identity_matrix(22)[6:]
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +173,21 @@ def det_square_class_obstruction(rank_t: int) -> SquareClassReport:
 # eigenspace dimensions of the polarization
 
 
-#: fixed-point split (f+, f-) by variant and L^2 mod 4
-_FIXED_POINT_SPLIT = {("plain", 2): (6, 2), ("plain", 0): (4, 4), ("tilde", 0): (8, 0)}
+def polarization(two_d: int, variant: str = "plain") -> list[int]:
+    """L with L^2 = 2d in U^3 + E8(-1)^2, fixed by the swap of the two E8(-1).
+
+    Plain: e_1 + d f_1.  Tilde: (2u', x, x), x the canonical glue vector read
+    in E8(-1); its norm class makes u' integral, so (L + (x, -x))/2 is a class.
+    """
+    _validate_two_d(two_d)
+    d = two_d // 2
+    if variant == "plain":
+        return [1, d] + [0] * 20
+    if variant != "tilde" or d % 2:
+        raise BadInputError(f"no {variant!r} family with L^2 = {two_d}; "
+                            "expected plain, or tilde with 4 | L^2")
+    x = list(canonical_glue_vector(d))
+    return [2, (d - e8(-1).norm(x)) // 2, 0, 0, 0, 0] + x + x
 
 
 @dataclass(frozen=True)
@@ -198,22 +201,25 @@ class EigenspaceReport:
 def eigenspace_dimensions(two_d: int, variant: str = "plain") -> EigenspaceReport:
     """Dimensions of the two eigenspaces of sections and the fixed-point split.
 
-    Only the split (f+, f-) of the 8 fixed points is tabulated.  The
-    dimensions follow from h+ + h- = d + 2 and, by the holomorphic Lefschetz
-    formula, h+ - h- = (f+ - f-)/4.
+    Push L~ = (L, 0^8).  The class of pi_* L~ / 2 in A_U(2)^3 glues to
+    (1/2) sum_S N_i in A_N, S the symmetric difference of the glue rows' nodes
+    at the odd U(2)^3 coordinates.  The cover is branched along sum N_i, so
+    the two lifts of the involution to L act by -1 at S and at its complement;
+    f- = min(|S|, 8 - |S|) takes the lift with h+ >= h-.  Then h+ + h- = d + 2
+    and, by the holomorphic Lefschetz formula, h+ - h- = (f+ - f-)/4.
     """
-    _validate_two_d(two_d)
-    split = _FIXED_POINT_SPLIT.get((variant, two_d % 4))
-    if split is None:
-        raise BadInputError(
-            f"no {variant!r} family with L^2 = {two_d}; expected plain, or tilde with 4 | L^2"
-        )
-    f_plus, f_minus = split
-    difference, r = divmod(f_plus - f_minus, 4)
+    lifted = polarization(two_d, variant) + [0] * 8
+    pushed = linalg.mat_vec(QuotientCohomology._build_push(), lifted)
+    s = set()
+    for kind, copy, nodes in _GLUE_PATTERN:
+        if pushed[2 * (copy - 1) + (kind == "f")] % 2:
+            s ^= set(nodes)
+    f_minus = min(len(s), 8 - len(s))
+    difference, r = divmod(8 - 2 * f_minus, 4)
     h_plus, odd = divmod(two_d // 2 + 2 + difference, 2)
-    fits = f_plus + f_minus == 8 and not r and not odd
-    require(fits, f"fixed-point split {split} does not fit 8 fixed points and L^2 = {two_d}")
-    return EigenspaceReport(h_plus, h_plus - difference, f_plus, f_minus)
+    split = (8 - f_minus, f_minus)
+    require(not r and not odd, f"fixed-point split {split} does not fit L^2 = {two_d}")
+    return EigenspaceReport(h_plus, h_plus - difference, *split)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,11 @@ def _wrong_glue_vector(d):
     return (1, 0, 0, 0, 0, 0, 0, 0)
 
 
+#: tilde_family refuses (1, 0, ..., 0), of norm -4, at 2d = 8 (criteria 6 and 11);
+#: criterion 8 reads the split (4, 4) off it there and fails its check
+_GLUE_CODES = {6: "bad_input", 8: "check_failed", 11: "bad_input"}
+
+
 def _identity_on_k3():
     return InvolutionModule(k3_lattice(), linalg.identity_matrix(22))
 
@@ -105,12 +110,13 @@ def _t_with_the_form_of_ns(n):
 @pytest.mark.parametrize(
     "module, name, replacement, failing, code, warm",
     [
-        # criteria 6 and 11 both build the tilde families from this vector
-        (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 11], "bad_input", False),
+        # criteria 6 and 11 build the tilde families from this vector, and criterion 8
+        # reads the tilde polarization off it
+        (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 8, 11], _GLUE_CODES, False),
         (verify, "_random_weierstrass", _sixteen_gon, [9], "unsupported", False),
         (verify, "eigenspace_dimensions", _zero_table, [8], "check_failed", False),
         # after a full pass has filled every memo, the patch still reaches glue
-        (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 11], "bad_input", True),
+        (nsfamilies, "canonical_glue_vector", _wrong_glue_vector, [6, 8, 11], _GLUE_CODES, True),
         # criterion 11 checks q against b on integer numerators, read from the x P rows
         (FiniteQuadraticForm, "_pairing_row", _b_plus_one, [11], "check_failed", True),
         # 240 roots of Gamma16(-1) and 120 of E8(-1), so both root counts fail
@@ -120,10 +126,13 @@ def _t_with_the_form_of_ns(n):
         # the q_T = -q_NS check fails first, not the later fingerprint check on T
         (verify, "morrison_nikulin_lattices", _t_with_the_form_of_ns, [10],
          "check_failed: rank-17 pair", False),
+        # 20 - rho = 10 Weierstrass parameters, not 11
+        (verify, "MODULI_COUNT", 11, [9], "check_failed", False),
     ],
     ids=[
         "glue-vector", "i16-pair", "eigenspace-table", "glue-vector-warm", "b-numerator",
         "half-space-search", "identity-involution", "t-with-the-form-of-ns",
+        "weierstrass-count",
     ],
 )
 def test_domain_error_fails_only_its_criteria(
@@ -135,7 +144,8 @@ def test_domain_error_fails_only_its_criteria(
     results = verify.run_all(DEFAULT_SEED)
     assert [r.number for r in results] == [n for n, _, _ in CRITERIA]
     assert [r.number for r in results if not r.passed] == failing
-    assert all(r.detail.startswith(f"{code}: ") for r in results if not r.passed)
+    codes = code if isinstance(code, dict) else dict.fromkeys(failing, code)
+    assert all(r.detail.startswith(f"{codes[r.number]}: ") for r in results if not r.passed)
 
 
 def _run_optimized(pycache, *args):

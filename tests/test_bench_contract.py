@@ -130,7 +130,8 @@ _K3 = ["cli", "discforms", "errors", "gluing", "involution", "lattice", "linalg"
         (["k3", "maps"], _K3),
         (["ns", "classify", "--L2", "8"], sorted(_K3 + ["nsfamilies"])),
         (["ns", "moduli", "--example", "M8"],
-         ["cli", "discforms", "errors", "gluing", "involution", "lattice", "nsfamilies"]),
+         ["cli", "discforms", "errors", "gluing", "involution", "lattice", "linalg",
+          "nsfamilies"]),
         (["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"],
          ["cli", "discforms", "elliptic", "errors", "lattice", "linalg", "polyfactor"]),
         (["ell", "shioda-tate", "--fibers", "I2:8,I1:8", "--torsion", "2"],

@@ -20,13 +20,15 @@ from k3lat import (
     rank_one,
     transcendental_fingerprint,
 )
-from k3lat import nsfamilies, verify
+from k3lat import linalg, nsfamilies, verify
 from k3lat.errors import CheckFailed
+from k3lat.involution import QuotientCohomology, swap_involution_matrix
 from k3lat.lattice import _MODULI_EXAMPLES
 from k3lat.nsfamilies import (
     canonical_glue_vector,
     k3_model_morrison_nikulin,
     k3_model_with_u_plus_n,
+    polarization,
     tilde_family,
 )
 
@@ -284,23 +286,62 @@ def test_moduli_counts_read_the_eigenspaces():
     assert sorted([*nsfamilies._MODULI_FAMILIES, "M4tilde"]) == sorted(_MODULI_EXAMPLES)
 
 
-def test_wrong_fixed_point_split_fails_the_moduli_count(monkeypatch):
-    # (2, 6) for L^2 = 2 mod 4 gives (h+, h-) = (2, 3): M6 counts 9, so a wrong
-    # table row cannot hide behind a hand-written count
-    tabled = {}  # the table criterion 8 checks, as it reads before the mutation
-    for args in ((2, "plain"), (6, "plain"), (8, "plain"), (12, "plain"), (4, "tilde"),
-                 (8, "tilde")):
-        tabled[args] = eigenspace_dimensions(*args)
-    monkeypatch.setitem(nsfamilies._FIXED_POINT_SPLIT, ("plain", 2), (2, 6))
-    assert moduli_dimension("M6") == 9
-    monkeypatch.setattr(verify, "eigenspace_dimensions", lambda *args: tabled[args])
-    with pytest.raises(CheckFailed, match="M6 moduli 9 != 11"):
-        verify.check_eigenspaces_and_moduli()
-
-
 def test_moduli_rejects_unsupported():
     with pytest.raises(BadInputError):
         moduli_dimension("M12")
+
+
+_build_push = QuotientCohomology._build_push
+_canonical_glue_vector = nsfamilies.canonical_glue_vector
+
+
+def _doubled_push():
+    """The push with its U block doubled: pi_* L~ / 2 is integral, so every S is empty."""
+    p = _build_push()
+    return [[2 * x for x in row] if i < 6 else row for i, row in enumerate(p)]
+
+
+def test_doubled_push_fails_the_moduli_count(monkeypatch):
+    # plain L^2 = 6 reads (8, 0), and h+ - h- = 2 does not fit h+ + h- = 5
+    monkeypatch.setattr(QuotientCohomology, "_build_push", staticmethod(_doubled_push))
+    with pytest.raises(CheckFailed, match=r"fixed-point split \(8, 0\) does not fit L\^2 = 6"):
+        verify.check_eigenspaces_and_moduli()
+
+
+def test_glue_vector_of_the_wrong_norm_class_fails_the_moduli_count(monkeypatch):
+    # d + 2 has the other residue mod 4: x^2 = -2 for d = 4 leaves u' half-integral
+    monkeypatch.setattr(nsfamilies, "canonical_glue_vector", lambda d: _canonical_glue_vector(d + 2))
+    expected = r"eigenspaces\(8,tilde\) = \(3, 3, 4, 4\) != \(4, 2, 8, 0\)"
+    with pytest.raises(CheckFailed, match=expected):
+        verify.check_eigenspaces_and_moduli()
+
+
+@pytest.mark.parametrize("two_d", range(2, 42, 2))
+def test_fixed_point_split_is_the_papers(two_d):
+    expected = {"plain": (6, 2) if two_d % 4 == 2 else (4, 4), "tilde": (8, 0)}
+    for variant in ["plain", "tilde"] if two_d % 4 == 0 else ["plain"]:
+        rep = eigenspace_dimensions(two_d, variant)
+        assert (rep.fixed_points_plus, rep.fixed_points_minus) == expected[variant]
+
+
+@pytest.mark.parametrize("two_d", range(2, 42, 2))
+def test_polarization_is_swap_fixed_of_norm_two_d(two_d):
+    k3, swap = k3_lattice(), swap_involution_matrix()
+    for variant in ["plain", "tilde"] if two_d % 4 == 0 else ["plain"]:
+        lvec = polarization(two_d, variant)
+        assert k3.norm(lvec) == two_d
+        assert linalg.mat_vec(swap, lvec) == lvec
+        if variant == "tilde":
+            x = list(canonical_glue_vector(two_d // 2))
+            glued = [a + b for a, b in zip(lvec, [0] * 6 + x + [-c for c in x])]
+            assert all(c % 2 == 0 for c in glued)
+
+
+def test_morrison_nikulin_model_takes_the_plain_polarization():
+    for n in (1, 2, 3, 4):
+        _ambient, ns_basis = k3_model_morrison_nikulin(n)
+        assert ns_basis[0] == polarization(2 * n)
+        assert ns_basis[1:] == linalg.identity_matrix(22)[6:]
 
 
 # -- rank-17 pairs ----------------------------------------------------------------
