@@ -14,9 +14,12 @@ of integer squares over integer weights, which bounds each coordinate through
 integer square roots and integer floor/ceil, so results are complete and
 deterministic.
 
-Values are immutable after construction and every operation is pure, so
-concurrent reads are safe.  Each standard constructor scales its Gram by the
-twist, by the rule ``Lattice.twist`` follows, and builds one ``Lattice``.
+Values are immutable after construction (assigning an attribute raises
+AttributeError) and every operation is pure, so concurrent reads are safe and
+callers may share one instance.  Each standard constructor scales its Gram by
+the twist, by the rule ``Lattice.twist`` follows, and builds one ``Lattice``.
+The standard constructors and ``direct_sum`` are memoized, so a process
+builds each standard lattice and each direct sum once.
 """
 
 from __future__ import annotations
@@ -88,17 +91,23 @@ class Lattice:
         except DegenerateGramError as exc:
             raise DegenerateGramError("gram matrix is degenerate") from exc
         if labels is not None:
-            try:
-                labels = tuple(str(x) for x in labels)
-            except TypeError as exc:
-                raise BadInputError("labels must be a list") from exc
+            # a string or dict would iterate as its characters or keys
+            if not isinstance(labels, (list, tuple)):
+                raise BadInputError("labels must be a list")
+            labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise BadInputError("need one basis label per row")
-        self.gram = gram
-        self.determinant = det
-        self.signature = Signature(pos, neg)
-        self.labels = labels
-        self.name = name
+        if name is not None and not isinstance(name, str):
+            raise BadInputError("name must be a string")
+        self.__dict__.update(
+            gram=gram, determinant=det, signature=Signature(pos, neg), labels=labels, name=name
+        )
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"a Lattice is immutable: cannot set {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"a Lattice is immutable: cannot delete {attr!r}")
 
     @property
     def rank(self) -> int:
@@ -169,6 +178,32 @@ def _twisted(gram, n: int, labels, name) -> Lattice:
 # standard constructors
 
 
+def _memoized(build):
+    """``build`` behind a bounded memo, for a pure function that returns a ``Lattice``.
+
+    The first call for an argument runs every check ``build`` runs.  The memo
+    is typed, so ``e8(2.0)`` is not the cached ``e8(2)`` and ``exact_ints``
+    still refuses its float entries, and ``lru_cache`` keeps no exception, so
+    a refused argument raises on every call.  ``lru_cache`` raises TypeError
+    on an unhashable argument before it calls ``build``; such an argument is
+    then built uncached, so it is refused as it was before the memo.
+    """
+    # a verify-paper pass asks one constructor for at most 22 distinct
+    # arguments (rank_one) and direct_sum for 33, so a pass never evicts its own
+    cached = functools.lru_cache(maxsize=64, typed=True)(build)
+
+    @functools.wraps(build)
+    def memo(*args, **kwargs):
+        try:
+            return cached(*args, **kwargs)
+        except TypeError:
+            return build(*args, **kwargs)
+
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@_memoized
 def hyperbolic_plane(twist: int = 1) -> Lattice:
     """U: Gram [[0,1],[1,0]], scaled by the twist."""
     return _twisted([[0, 1], [1, 0]], twist, ("e", "f"), "U")
@@ -179,6 +214,7 @@ def hyperbolic_plane(twist: int = 1) -> Lattice:
 _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
 
+@_memoized
 def e8(twist: int = 1) -> Lattice:
     """E8: the even unimodular rank-8 Gram (Cartan matrix); E8(-1) for twist -1."""
     g = [[0] * 8 for _ in range(8)]
@@ -195,6 +231,7 @@ def e8(twist: int = 1) -> Lattice:
 _A_N_BOUND = 32
 
 
+@_memoized
 def a_n(n: int, twist: int = 1) -> Lattice:
     """A_n root lattice (tridiagonal Cartan matrix, det n+1), 1 <= n <= _A_N_BOUND."""
     if n < 1:
@@ -209,6 +246,7 @@ def a_n(n: int, twist: int = 1) -> Lattice:
     return _twisted(g, twist, tuple(f"a{i}" for i in range(1, n + 1)), f"A{n}")
 
 
+@_memoized
 def rank_one(m: int, twist: int = 1) -> Lattice:
     """Rank-1 lattice <m>."""
     if m == 0:
@@ -216,6 +254,7 @@ def rank_one(m: int, twist: int = 1) -> Lattice:
     return _twisted([[m]], twist, ("L",), f"<{m}>")
 
 
+@_memoized
 def nikulin(twist: int = 1) -> Lattice:
     """The Nikulin lattice N in the integral basis {N_1..N_7, Nhat}.
 
@@ -240,6 +279,7 @@ def nikulin_node_coords(i: int) -> list[int]:
     return [-1] * 7 + [2]  # N_8 = 2 Nhat - N_1 - ... - N_7
 
 
+@_memoized
 def minus_one_sum(n: int = 8) -> Lattice:
     """<-1>^n, labelled E1..En (exceptional classes)."""
     g = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -273,6 +313,7 @@ def _gamma16_doubled_basis() -> list[list[int]]:
     return vecs + [[0] * 14 + [2, 2], [1] * 16]
 
 
+@_memoized
 def gamma16(twist: int = 1) -> Lattice:
     """Gamma16 in its integral basis; Gamma16(-1) for twist -1."""
     vecs = _gamma16_doubled_basis()
@@ -344,20 +385,30 @@ def standard_lattice(kind: str, twist: int = 1, param: int | None = None) -> Lat
 
 
 def direct_sum(parts, name=None) -> Lattice:
-    """Block-diagonal sum; basis labels get disambiguating suffixes."""
-    parts = list(parts)
-    if not parts:
+    """Block-diagonal sum; basis labels get disambiguating suffixes.
+
+    Memoized on each part's (gram, labels, name) and ``name``, never on the
+    parts themselves: a ``Lattice`` compares and hashes its Gram only, so
+    parts with one Gram and other labels would share a cached sum.
+    """
+    return _direct_sum_of(tuple((p.gram, p.labels, p.name) for p in parts), name)
+
+
+@_memoized
+def _direct_sum_of(blocks, name) -> Lattice:
+    """``direct_sum`` of the parts given as (gram, labels, name) triples."""
+    if not blocks:
         raise BadInputError("direct sum of an empty list")
-    total = sum(p.rank for p in parts)
+    total = sum(len(gram) for gram, _, _ in blocks)
     g = [[0] * total for _ in range(total)]
     off = 0
     raw_labels = []
-    for p in parts:
-        for i in range(p.rank):
-            for j in range(p.rank):
-                g[off + i][off + j] = p.gram[i][j]
-        raw_labels.append(list(p.labels) if p.labels else [f"b{off + i + 1}" for i in range(p.rank)])
-        off += p.rank
+    for gram, block_labels, _ in blocks:
+        rank = len(gram)
+        for i in range(rank):
+            g[off + i][off:off + rank] = gram[i]
+        raw_labels.append(list(block_labels) if block_labels else [f"b{off + i + 1}" for i in range(rank)])
+        off += rank
     counts: dict[str, int] = {}
     for block in raw_labels:
         for lab in block:
@@ -372,8 +423,7 @@ def direct_sum(parts, name=None) -> Lattice:
             else:
                 labels.append(lab)
     if name is None:
-        names = [p.name or "?" for p in parts]
-        name = " + ".join(names)
+        name = " + ".join(block_name or "?" for _, _, block_name in blocks)
     return Lattice(g, labels, name)
 
 

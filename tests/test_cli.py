@@ -278,6 +278,9 @@ def _assert_error_envelope(argv, exit_code, code, capsys):
         (["lattice", "info", "--file", "FILE"], '{"gram": [["a"]]}'),
         (["disc", "--file", "FILE"], '""'),
         (["lattice", "info", "--file", "FILE"], json.dumps('{"gram": [[2]]}')),
+        # labels and name are validated, not iterated or echoed
+        (["lattice", "show", "--file", "FILE"], '{"gram": [[2, 1], [1, 2]], "labels": "ab"}'),
+        (["lattice", "show", "--file", "FILE"], '{"gram": [[2]], "name": ["x"]}'),
         (["ell", "shioda-tate", "--fibers", "I2:x", "--torsion", "2"], None),
         (["k3", "push", "--vector", '{"a": 1}'], None),
         (["k3", "push", "--vector", "5"], None),
@@ -296,8 +299,8 @@ def _assert_error_envelope(argv, exit_code, code, capsys):
         (["ell", "fibers", "--a=1.5", "--b=1"], None),
         (["ell", "fibers", "--a", "1e9999999", "--b", "1"], None),
     ],
-    ids=["gram-int", "gram-str", "doc-empty-str", "doc-str-of-lattice", "fiber-count", "vector-dict",
-         "vector-int", "vector-1/0", "vector-1.5", "poly-empty-between", "poly-empty-before",
+    ids=["gram-int", "gram-str", "doc-empty-str", "doc-str-of-lattice", "labels-str", "name-list",
+         "fiber-count", "vector-dict", "vector-int", "vector-1/0", "vector-1.5", "poly-empty-between", "poly-empty-before",
          "poly-empty-after", "poly-blank-entry", "gram-float-1e23", "glue-float",
          "glue-decimal-text", "vector-2.0", "vector-exponent-text", "poly-decimal-text",
          "poly-exponent-text"],

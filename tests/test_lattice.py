@@ -13,6 +13,7 @@ from k3lat import (
     IsotropicComplementError,
     Lattice,
     NotDefiniteError,
+    UnsupportedError,
     a_n,
     direct_sum,
     e8,
@@ -118,14 +119,18 @@ def test_standard_lattice_dispatch_and_errors():
         standard_lattice("rank1", 1, param=0)
 
 
-@pytest.mark.parametrize(
-    "make, name",
-    [(hyperbolic_plane, "U(-2)"), (e8, "E8(-2)"), (lambda t: a_n(3, t), "A3(-2)"),
-     (lambda t: rank_one(6, t), "<6>(-2)"), (nikulin, "N(-2)"), (gamma16, "Gamma16(-2)")],
-    ids=["U", "E8", "An", "rank1", "NikulinN", "Gamma16"],
-)
-def test_standard_constructor_builds_one_lattice(monkeypatch, make, name):
-    # the twist scales the Gram before the one construction, not after it
+_STANDARD = [
+    (hyperbolic_plane, (), "U(-2)"), (e8, (), "E8(-2)"), (a_n, (3,), "A3(-2)"),
+    (rank_one, (6,), "<6>(-2)"), (nikulin, (), "N(-2)"), (gamma16, (), "Gamma16(-2)"),
+]
+_STANDARD_IDS = ["U", "E8", "An", "rank1", "NikulinN", "Gamma16"]
+
+
+@pytest.mark.parametrize("make, params, name", _STANDARD, ids=_STANDARD_IDS)
+def test_standard_constructor_builds_one_lattice(monkeypatch, make, params, name):
+    # the twist scales the Gram before the one construction, not after it,
+    # and the memo builds nothing on a repeated call
+    make.cache_clear()
     built = []
     init = Lattice.__init__
 
@@ -134,9 +139,69 @@ def test_standard_constructor_builds_one_lattice(monkeypatch, make, name):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Lattice, "__init__", counting_init)
-    lat = make(-2)
+    lat = make(*params, -2)
+    assert len(built) == 1
+    assert make(*params, -2) is lat
     assert len(built) == 1
     assert lat.name == name and lat.twist(1).name == name
+
+
+@pytest.mark.parametrize("make, params, name", _STANDARD, ids=_STANDARD_IDS)
+def test_memoized_lattice_is_immutable(make, params, name):
+    lat = make(*params, -2)
+    with pytest.raises(AttributeError):
+        lat.name = "changed"
+    with pytest.raises(AttributeError):
+        del lat.labels
+    assert make(*params, -2) is lat and lat.name == name
+
+
+@pytest.mark.parametrize(
+    "make",
+    [e8, hyperbolic_plane, lambda t: e8(twist=t), lambda t: a_n(3, t), lambda t: rank_one(6, t)],
+    ids=["e8", "U", "e8-keyword", "a_n", "rank_one"],
+)
+def test_memo_keeps_the_float_and_unhashable_refusals(make):
+    # typed keys: a float twist is not the cached int twist, so exact_ints still sees it
+    make(2)
+    for bad in (2.0, [2]):
+        with pytest.raises(BadInputError):
+            make(bad)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda: a_n(0), BadInputError), (lambda: a_n(33), UnsupportedError),
+     (lambda: rank_one(0), BadInputError), (lambda: e8(0), BadInputError),
+     (lambda: a_n(3, 0), BadInputError), (lambda: direct_sum([]), BadInputError)],
+    ids=["a_n(0)", "a_n(33)", "rank_one(0)", "e8-twist-0", "a_n-twist-0", "empty-sum"],
+)
+def test_refused_constructor_raises_on_every_call(call, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            call()
+
+
+def test_direct_sum_memo_keys_on_labels_and_names():
+    # a Lattice compares Grams only; the memo must not hand one part's labels to another
+    x, y, bare = Lattice([[2]], ["x"], "X"), Lattice([[2]], ["y"], "Y"), Lattice([[2]])
+    assert x == y == bare
+    assert direct_sum([x, x]).labels == ("x1", "x2") and direct_sum([x, x]).name == "X + X"
+    assert direct_sum([y, y]).labels == ("y1", "y2") and direct_sum([y, y]).name == "Y + Y"
+    assert direct_sum([bare, bare]).labels == ("b1", "b2") and direct_sum([bare, bare]).name == "? + ?"
+    assert direct_sum([x, y], name="P").name == "P" and direct_sum([x, y], name="Q").name == "Q"
+    assert direct_sum([x, y]) is direct_sum(iter([x, y]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"gram": [[2, 1], [1, 2]], "labels": "ab"}, {"gram": [[2, 1], [1, 2]], "labels": {"a": 1, "b": 2}},
+     {"gram": [[2]], "name": ["x"]}, {"gram": [[2]], "name": 5}],
+    ids=["labels-str", "labels-dict", "name-list", "name-int"],
+)
+def test_labels_and_name_from_json_are_validated(data):
+    with pytest.raises(BadInputError):
+        Lattice.from_json(data)
 
 
 def test_direct_sum_k3_lattice():
