@@ -21,6 +21,11 @@ all the elements that extend it, then reduces every sum and checks q on it.
 ``discriminant_form`` and ``lattice_fingerprint`` are memoized on the Gram
 matrix (``Lattice`` compares Grams only): their values are immutable, so
 callers share them, and an error is raised afresh on every call.
+``orbits_under_generators`` reads its generator entries as ints and is
+memoized on the form (by identity: a form is never changed, and
+``discriminant_form`` hands out one per Gram) and those integer matrices, so
+a hit is the partition of the same group under the same matrices; each call
+returns new lists.  The memo keeps 4 partitions; a verify-paper pass asks for 1.
 """
 
 from __future__ import annotations
@@ -378,12 +383,27 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
 def orbits_under_generators(form: FiniteQuadraticForm, generators) -> list[list[DiscElement]]:
     """Orbit partition of A_M under supplied isometry generators.
 
-    Generators are parent-lattice matrices.  Orbits are sorted lists, ordered
-    by (size, first element); the group is never materialized, only the orbit
-    closure.
+    Generators are parent-lattice matrices of integers.  Orbits are sorted
+    lists, ordered by (size, first element); the group is never materialized,
+    only the orbit closure.  The partition is memoized (see ``_orbits``);
+    each call returns new lists.
     """
     if form.order > _SUBGROUP_SIZE_BOUND:
         raise UnsupportedError("discriminant group too large for orbit closure")
+    key = tuple(
+        tuple(tuple(linalg.exact_ints(row, "generator entries")) for row in matrix)
+        for matrix in generators
+    )
+    return [list(orbit) for orbit in _orbits(form, key)]
+
+
+# a verify-paper pass asks for 1 partition (W(E8) on A_E8(-2)), so a pass never evicts its own
+@functools.lru_cache(maxsize=4)
+def _orbits(form: FiniteQuadraticForm, generators) -> tuple[tuple[DiscElement, ...], ...]:
+    """The orbit partition; on a miss ``action_on_disc`` checks every generator.
+
+    ``lru_cache`` keeps no exception, so a refused generator raises on every call.
+    """
     maps = [action_on_disc(form, g) for g in generators]
     seen = set()
     orbits = []
@@ -400,9 +420,9 @@ def orbits_under_generators(form: FiniteQuadraticForm, generators) -> list[list[
                     orbit.add(z)
                     frontier.append(z)
         seen |= orbit
-        orbits.append(sorted(orbit))
+        orbits.append(tuple(sorted(orbit)))
     orbits.sort(key=lambda o: (len(o), o[0]))
-    return orbits
+    return tuple(orbits)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ which also bounds each memo key.  Short-vector enumeration is Fincke-Pohst:
 the same elimination of the positive definite -gram writes the norm as a sum
 of integer squares over integer weights, which bounds each coordinate through
 integer square roots and integer floor/ceil, so results are complete and
-deterministic.
+deterministic.  The search is memoized on (Gram, norm) after its checks, with
+the coordinate terms it summed, so a cached search is still held to the term
+bound in force when it is asked for again; ``sublattice_index`` is memoized
+on the rank and the deduplicated integer rows its Hermite normal form reads.
+The memos keep 8 searches and 4 indices; a verify-paper pass repeats 5 and 3.
 
 Values are immutable after construction (assigning an attribute raises
 AttributeError) and every operation is pure, so concurrent reads are safe and
@@ -467,8 +471,15 @@ def sublattice_index(lattice: Lattice, vectors) -> int:
         raise BadInputError(f"vectors must have {lattice.rank} coordinates")
     # v, -v and 0 add nothing to the span, so the HNF gets one row per +-v pair
     rows = dict.fromkeys(max(tuple(v), tuple(-c for c in v)) for v in vecs if any(v))
+    return _span_index(lattice.rank, tuple(rows))
+
+
+# a verify-paper pass asks for 3 distinct indices, so a pass never evicts its own
+@functools.lru_cache(maxsize=4)
+def _span_index(rank: int, rows: tuple[tuple[int, ...], ...]) -> int:
+    """Index in Z^rank of the span of validated integer ``rows``, from their HNF pivots."""
     hnf = linalg.hermite_normal_form(list(rows))
-    if len(hnf) != lattice.rank:
+    if len(hnf) != rank:
         raise BadInputError("the vectors do not span a finite-index sublattice")
     return math.prod(row[i] for i, row in enumerate(hnf))
 
@@ -497,17 +508,48 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
     coordinate (the first one it sets) is positive and appends the negatives
     before sorting.  A search that would sum more than
     _SHORT_VECTOR_TERM_BOUND coordinate terms raises UnsupportedError.
+    The search is memoized (see ``_vectors_of_norm``); each call returns a
+    new list.
     """
+    return list(_short_vectors(lattice, norm))
+
+
+def _short_vectors(lattice: Lattice, norm) -> tuple[tuple[int, ...], ...]:
+    """``enumerate_vectors_of_norm`` as the memo's shared tuple, after every check."""
     if not lattice.is_negative_definite:
         raise NotDefiniteError("short vector enumeration needs a negative definite lattice")
-    if norm >= 0 or norm % 2 != 0:
+    try:
+        norm = linalg.exact_rational(norm)
+    except BadInputError as exc:
+        raise BadInputError("norm must be a negative even integer") from exc
+    if type(norm) is not int or norm >= 0 or norm % 2 != 0:
         raise BadInputError("norm must be a negative even integer")
-    n = lattice.rank
+    vectors, terms = _vectors_of_norm(lattice.gram, norm)
+    if terms > _SHORT_VECTOR_TERM_BOUND:
+        raise UnsupportedError(_past_the_term_bound(norm, lattice.rank, terms))
+    return vectors
+
+
+def _past_the_term_bound(norm: int, rank: int, terms: int) -> str:
+    return (f"vectors of norm {norm} in a rank-{rank} lattice: the search summed "
+            f"{terms} coordinate terms, past the bound {_SHORT_VECTOR_TERM_BOUND}")
+
+
+# a verify-paper pass searches 5 (Gram, norm) pairs, so a pass never evicts its own
+@functools.lru_cache(maxsize=8)
+def _vectors_of_norm(gram, norm: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(vectors, coordinate terms summed) of the search on a negative definite Gram.
+
+    Keyed on the Gram and the norm, all the search reads, so a hit is the
+    search itself.  The search stops once it sums more than
+    _SHORT_VECTOR_TERM_BOUND terms, and ``lru_cache`` keeps no exception.
+    """
+    n = len(gram)
     # -gram is positive definite, so its elimination never pivots and every
     # pivot D_{i+1} = dens[i] is positive.  With S the lcm of the D_i D_{i+1}
     # and c_i = S / (D_i D_{i+1}),
     # S (-v.v) = sum_i c_i (D_{i+1} x_i + sum_{j>i} a_ij x_j)^2.
-    _, _, pivots = linalg.signature_of_symmetric([[-x for x in row] for row in lattice.gram])
+    _, _, pivots = linalg.signature_of_symmetric([[-x for x in row] for row in gram])
     dens = [row[0] for row in pivots]
     coef = [row[1:] for row in pivots]
     products = [d * e for d, e in zip([1] + dens, dens)]
@@ -523,10 +565,7 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
         nonlocal terms
         terms += n - i
         if terms > _SHORT_VECTOR_TERM_BOUND:
-            raise UnsupportedError(
-                f"vectors of norm {norm} in a rank-{n} lattice: the search summed "
-                f"{terms} coordinate terms, past the bound {_SHORT_VECTOR_TERM_BOUND}"
-            )
+            raise UnsupportedError(_past_the_term_bound(norm, n, terms))
         den, c = dens[i], cs[i]
         # |den x_i + shift| <= t  <=>  c (den x_i + shift)^2 <= remaining
         t = math.isqrt(remaining // c)
@@ -550,4 +589,4 @@ def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ..
     descend(n - 1, -norm * scale, 0, False)
     results += [tuple(-c for c in v) for v in results]
     results.sort()
-    return results
+    return tuple(results), terms

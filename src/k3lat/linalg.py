@@ -9,9 +9,10 @@ determinant (the last pivot) and the pivot rows that bound the short-vector
 search; Hermite and Smith normal forms use integer row and column
 operations.  Every Bareiss division is exact.  ``exact_rational`` is the
 one rule for a number from outside: an int, a Fraction or text like "-3/2",
-never a float or "1e3"; ``exact_entries`` reads the lists of ``exact_ints``,
-``clear_denominators`` and ``RatPoly`` through it, and ``clear_denominators``
-is the one place a rational vector becomes integers.  Two routines have no
+never a float or "1e3"; ``exact_entries`` reads the lists of ``exact_ints``
+(a list of plain ints needs no reading), ``clear_denominators`` and
+``RatPoly`` through it, and ``clear_denominators`` is the one place a
+rational vector becomes integers.  Two routines have no
 caller in the package: ``rational_inverse``, the one that works over Q, and
 the general ``bareiss_determinant``; the tests call both as oracles, and
 perfbench's tracer counts their calls.
@@ -35,6 +36,7 @@ from .errors import BadInputError, DegenerateGramError, require
 IntMatrix = list[list[int]]
 
 _RATIONAL_TEXT = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+_INT_TYPE = frozenset({int})
 
 
 def exact_rational(x) -> int | Fraction:
@@ -69,6 +71,8 @@ def exact_entries(values) -> list[int | Fraction]:
 
 def exact_ints(values, what: str) -> list[int]:
     """The entries of ``values`` as ints; BadInputError unless each is an integer exact rational."""
+    if isinstance(values, (list, tuple)) and set(map(type, values)) <= _INT_TYPE:
+        return list(values)  # all plain ints, the common case, checked in one C-level pass
     try:
         ints = exact_entries(values)
     except BadInputError as exc:

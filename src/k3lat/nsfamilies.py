@@ -25,9 +25,9 @@ from .involution import QuotientCohomology, k3_lattice
 from .lattice import (
     _MODULI_EXAMPLES,
     Lattice,
+    _short_vectors,
     direct_sum,
     e8,
-    enumerate_vectors_of_norm,
     hyperbolic_plane,
     orthogonal_complement,
     rank_one,
@@ -67,12 +67,7 @@ def canonical_glue_vector(d: int) -> tuple[int, ...]:
     Norm -4 vectors serve d = 4m+2 (v.v = 4 mod 8) and norm -8 vectors serve
     d = 4m (v.v = 0 mod 8).
     """
-    return _first_e8m2_vector(-4 if glue_vector_norm_class(d) == 4 else -8)
-
-
-@functools.cache
-def _first_e8m2_vector(norm: int) -> tuple[int, ...]:
-    return enumerate_vectors_of_norm(e8(-2), norm)[0]
+    return _short_vectors(e8(-2), -4 if glue_vector_norm_class(d) == 4 else -8)[0]
 
 
 def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:

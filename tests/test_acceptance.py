@@ -84,6 +84,14 @@ def _half_space_only(lattice, norm):
     return [v for v in vectors if next(c for c in reversed(v) if c) > 0]
 
 
+_e8_simple_reflections = verify.e8_simple_reflections
+
+
+def _first_reflection_replaced():
+    """The E8 reflections with the first one replaced by the identity."""
+    return [linalg.identity_matrix(8)] + _e8_simple_reflections()[1:]
+
+
 def _wrong_glue_vector(d):
     return (1, 0, 0, 0, 0, 0, 0, 0)
 
@@ -121,6 +129,10 @@ def _t_with_the_form_of_ns(n):
         (FiniteQuadraticForm, "_pairing_row", _b_plus_one, [11], "check_failed", True),
         # 240 roots of Gamma16(-1) and 120 of E8(-1), so both root counts fail
         (verify, "enumerate_vectors_of_norm", _half_space_only, [2, 3], "check_failed", False),
+        # after a full pass has cached every search, the patched search is still read
+        (verify, "enumerate_vectors_of_norm", _half_space_only, [2, 3], "check_failed", True),
+        # after a full pass has cached the W(E8) orbits, other generators get their own partition
+        (verify, "e8_simple_reflections", _first_reflection_replaced, [6], "check_failed", True),
         # (s, t, r) = (22, 0, 0) is not (6, 0, 8)
         (verify, "swap_involution", _identity_on_k3, [5], "check_failed", False),
         # the q_T = -q_NS check fails first, not the later fingerprint check on T
@@ -131,7 +143,8 @@ def _t_with_the_form_of_ns(n):
     ],
     ids=[
         "glue-vector", "i16-pair", "eigenspace-table", "glue-vector-warm", "b-numerator",
-        "half-space-search", "identity-involution", "t-with-the-form-of-ns",
+        "half-space-search", "half-space-search-warm", "replaced-reflection-warm",
+        "identity-involution", "t-with-the-form-of-ns",
         "weierstrass-count",
     ],
 )

@@ -1,7 +1,8 @@
 """The fast kernels against the simple forms they stand in for.
 
 Sparse ``linalg`` products against the dense products of ``oracles``; the
-memo of Gram invariants against a count of real eliminations; the
+one-pass all-int check of ``exact_ints`` against ``exact_rational`` of each
+entry; the memo of Gram invariants against a count of real eliminations; the
 coordinate-wise induced action against a per-element sum; the sign-deduplicated
 root span against the span of every vector given; the unit-pivot Smith form
 against its defining identities and the determinantal divisors; the b and
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from k3lat import lattice, linalg, polyfactor
 from k3lat.discforms import action_on_disc, discriminant_form
 from k3lat.elliptic import RatPoly, irreducible_factors
-from k3lat.errors import CheckFailed, DegenerateGramError
+from k3lat.errors import BadInputError, CheckFailed, DegenerateGramError
 from k3lat.involution import k3_lattice, swap_involution_matrix
 from k3lat.lattice import (
     Lattice,
@@ -94,6 +95,27 @@ def test_sparse_mat_vec_and_dot_equal_the_dense_ones(data):
 def test_sparse_pairing_matrix_equals_the_dense_one(data):
     vectors, gram = data
     assert linalg.pairing_matrix(vectors, gram) == dense_pairing_matrix(vectors, gram)
+
+
+@given(st.one_of(st.lists(st.integers(), max_size=8).map(tuple), st.lists(st.one_of(
+    st.integers(), st.booleans(), st.fractions(max_denominator=3), st.floats(allow_nan=False),
+    st.sampled_from(["7", " -3 ", "1/2", "1e3"])), max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_exact_ints_reads_each_entry_by_exact_rational(values):
+    # the one-pass check for all-int lists gives what the per-entry reader gives
+    try:
+        expected = [linalg.exact_rational(x) for x in values]
+    except BadInputError:
+        expected = None
+    if expected is not None and any(type(x) is not int for x in expected):
+        expected = None
+    if expected is None:
+        with pytest.raises(BadInputError, match="entries must be integers"):
+            linalg.exact_ints(values, "entries")
+    else:
+        got = linalg.exact_ints(values, "entries")
+        assert got == expected and type(got) is list and got is not values
+        assert all(type(x) is int for x in got)
 
 
 def test_equal_grams_are_eliminated_once_and_errors_are_never_cached(monkeypatch):
