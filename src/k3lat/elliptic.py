@@ -15,10 +15,10 @@ comes factored, Delta = b^2 c with c = a^2 - 4b.  A fibration stores c once
 and never multiplies Delta out: fiber types are read off the factorizations
 of b and c (degree <= 8 each), and deg Delta = 2 deg b + deg c.  The quotient
 by translation by the 2-torsion section is the standard 2-isogeny model
-(a, b) -> (-2a, c), which swaps the b-locus and the c-locus.  Factorizations
-over Q come from ``polyfactor`` (Zassenhaus on Python ints), memoized on the
-integer-primitive coefficients, since the quotient's b is f's c and its c is
-16 f.b.
+(a, b) -> (-2a, c), which swaps the b-locus and the c-locus.  ``polyfactor``
+is the one integer-polynomial kernel: sums, products, derivatives, gcds and
+factorizations (Zassenhaus), memoized on the integer-primitive coefficients
+since the quotient's b is f's c and its c is 16 f.b.
 
 Only multiplicative fibers are classified.  Additive places (where the
 irreducible factor divides both a and b, equivalently both b and a^2 - 4b)
@@ -32,7 +32,6 @@ only data.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -51,7 +50,8 @@ class RatPoly:
     when integral and a ``Fraction`` with denominator > 1 otherwise: the
     constructor reads a list or tuple through ``linalg.exact_entries``, and
     division goes through ``_quotient``, which returns an int when it is
-    exact.  ``gcd`` runs on Python ints and shares no code with ``polyfactor``.
+    exact.  Sums, products, the derivative and the gcd are ``polyfactor``'s;
+    division over Q, ``monic``, parsing and printing are the class's own.
     """
 
     __slots__ = ("coeffs",)
@@ -99,30 +99,16 @@ class RatPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly([self[i] + other[i] for i in range(n)])
+        return RatPoly(polyfactor._add(self.coeffs, _coerce(other).coeffs))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly([self[i] - other[i] for i in range(n)])
+        return RatPoly(polyfactor._sub(self.coeffs, _coerce(other).coeffs))
 
     def __neg__(self):
         return RatPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        return RatPoly(polyfactor._mul(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -156,7 +142,7 @@ class RatPoly:
         return (other % self).is_zero
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return RatPoly(polyfactor._derivative(self.coeffs))
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
@@ -167,24 +153,14 @@ class RatPoly:
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd over Q (zero when both are zero).
 
-        A primitive pseudo-remainder sequence on the integer-primitive
-        coefficients: lc(b)^k a = q b + r over Z, then b, prim(r) in place of
-        a, b.  It runs on Python ints and shares no code with ``polyfactor``,
-        so the screens of ``verify`` stay independent of the factorizer.
+        ``polyfactor._gcd_z``, the primitive pseudo-remainder sequence of Yun's
+        squarefree decomposition, on the cleared-denominator coefficients.
         """
-        a = _primitive(linalg.clear_denominators(self.coeffs)[1])
-        b = _primitive(linalg.clear_denominators(_coerce(other).coeffs)[1])
-        while b:
-            r, lead, d = a, b[-1], len(b) - 1
-            while len(r) > d:  # r = lead^k a mod b
-                top, shift = r[-1], len(r) - 1 - d
-                r = [lead * c for c in r]
-                for j, c in enumerate(b):
-                    r[shift + j] -= top * c
-                while r and r[-1] == 0:
-                    r.pop()
-            a, b = b, _primitive(r)
-        return RatPoly(a).monic()
+        other = _coerce(other)
+        if self.is_zero or other.is_zero:
+            return (self + other).monic()
+        a, b = (linalg.clear_denominators(p.coeffs)[1] for p in (self, other))
+        return RatPoly(polyfactor._gcd_z(a, b)).monic()
 
     def coeff_strings(self) -> list[str]:
         return [decimal(c) for c in self.coeffs]
@@ -223,14 +199,6 @@ def _quotient(x, y) -> int | Fraction:
     return linalg.exact_rational(x / y)
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    """ints divided by their content, leading entry positive ([] for zero)."""
-    if not ints:
-        return []
-    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-    return [v // g for v in ints]
-
-
 def _coerce(x) -> RatPoly:
     if isinstance(x, RatPoly):
         return x
@@ -254,7 +222,7 @@ def irreducible_factors(p: RatPoly) -> list[tuple[RatPoly, int]]:
     if p.degree == 0:
         return []
     _, ints = linalg.clear_denominators(p.coeffs)
-    factors = polyfactor.factor(tuple(_primitive(ints)))
+    factors = polyfactor.factor(tuple(polyfactor._primitive(ints)))
     product = [1]
     for f, e in factors:
         for _ in range(e):

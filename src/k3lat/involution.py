@@ -29,7 +29,6 @@ from .lattice import (
     minus_one_sum,
     nikulin,
     nikulin_node_coords,
-    orthogonal_complement,
     sublattice_index,
 )
 
@@ -65,6 +64,15 @@ class InvolutionModule:
         return [list(row) for row in self.action]
 
 
+def _eigen_kernels(module: InvolutionModule) -> tuple[list[list[int]], list[list[int]]]:
+    """Saturated bases of ker(g - 1) and ker(g + 1)."""
+    g = module.action_rows()
+    ident = linalg.identity_matrix(module.lattice.rank)
+    plus = linalg.integer_kernel(linalg.mat_sub(g, ident))
+    minus = linalg.integer_kernel([[x + y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)])
+    return plus, minus
+
+
 def str_invariants(module: InvolutionModule) -> STRInvariants:
     """(s, t, r) with (M, g) = M_1^s + M_{-1}^t + M_swap^r.
 
@@ -74,10 +82,7 @@ def str_invariants(module: InvolutionModule) -> STRInvariants:
     e - ge span index 2.
     """
     n = module.lattice.rank
-    g = module.action_rows()
-    ident = linalg.identity_matrix(n)
-    plus = linalg.integer_kernel(linalg.mat_sub(g, ident))
-    minus = linalg.integer_kernel([[x + y for x, y in zip(rg, ri)] for rg, ri in zip(g, ident)])
+    plus, minus = _eigen_kernels(module)
     index = sublattice_index(module.lattice, plus + minus)
     r = index.bit_length() - 1
     s, t = len(plus) - r, len(minus) - r
@@ -95,17 +100,14 @@ class FixedSublattices:
 
 
 def invariant_and_antiinvariant(module: InvolutionModule) -> FixedSublattices:
-    """Saturated fixed sublattice and its orthogonal complement, both primitive."""
-    n = module.lattice.rank
-    g = module.action_rows()
-    diff = linalg.mat_sub(g, linalg.identity_matrix(n))
-    inv_basis = linalg.integer_kernel(diff)
-    gram = module.lattice.gram
-    inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram))
-    anti_lat, anti_basis = orthogonal_complement(module.lattice, inv_basis)
+    """Saturated ker(g - 1) and ker(g + 1), computed apart, both required primitive."""
+    inv_basis, anti_basis = _eigen_kernels(module)
     for which, basis in (("invariant", inv_basis), ("anti-invariant", anti_basis)):
         ok, torsion = is_primitive(module.lattice, basis)
         require(ok, f"{which} sublattice is not primitive: cokernel {torsion}")
+    gram = module.lattice.gram
+    inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram))
+    anti_lat = Lattice(linalg.pairing_matrix(anti_basis, gram))
     return FixedSublattices(inv_lat, inv_basis, anti_lat, anti_basis)
 
 

@@ -238,6 +238,7 @@ _A_N_BOUND = 32
 @_memoized
 def a_n(n: int, twist: int = 1) -> Lattice:
     """A_n root lattice (tridiagonal Cartan matrix, det n+1), 1 <= n <= _A_N_BOUND."""
+    (n,) = linalg.exact_ints([n], "lattice sizes")
     if n < 1:
         raise BadInputError("A_n needs n >= 1")
     if n > _A_N_BOUND:
@@ -286,6 +287,7 @@ def nikulin_node_coords(i: int) -> list[int]:
 @_memoized
 def minus_one_sum(n: int = 8) -> Lattice:
     """<-1>^n, labelled E1..En (exceptional classes)."""
+    (n,) = linalg.exact_ints([n], "lattice sizes")
     g = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
     return Lattice(g, tuple(f"E{i}" for i in range(1, n + 1)), f"<-1>^{n}")
 

@@ -1,7 +1,10 @@
 """Irreducible factorization of integer polynomials over Q, on Python ints only.
 
-Polynomials are lists (or tuples) of ints, low degree first.  ``factor`` takes
-an integer-primitive polynomial with positive leading coefficient and follows
+Polynomials are lists (or tuples) of ints, low degree first.  ``_add``,
+``_sub`` and ``_mul`` with m = 0, and ``_derivative``, only add and multiply,
+so they are exact on int and ``Fraction`` coefficients alike: they and
+``_gcd_z`` are also the arithmetic of ``elliptic.RatPoly``.  ``factor`` takes an
+integer-primitive polynomial with positive leading coefficient and follows
 Zassenhaus (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14-15):
 
 1. If an odd prime p not dividing the leading coefficient keeps gcd(f, f') = 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .discforms import (
@@ -67,6 +68,7 @@ from .nsfamilies import (
     k3_model_with_u_plus_n,
     moduli_dimension,
     morrison_nikulin_lattices,
+    tilde_family,
     transcendental_fingerprint,
 )
 
@@ -225,7 +227,7 @@ def check_eigenspaces_and_moduli() -> dict:
 def _random_weierstrass(rng: random.Random) -> WeierstrassFibration:
     # General member of the family: deg(a^2 - 4b) = 8 (good fiber at infinity),
     # b and a^2 - 4b squarefree and coprime.  Screened with gcds only, never
-    # with the factorization machinery under test.
+    # with ``factor``, the factorization under test.
     nonzero = [-3, -2, -1, 1, 2, 3]
     while True:
         lead_a = rng.choice(nonzero)
@@ -357,15 +359,11 @@ def check_property_suites() -> dict:
         pairs_checked += len(q) ** 2
         bad = [x for x in q if (q[form.scale(3, x)] - 9 * q[x]) % mod]
         require(not bad, f"q(3x) != 9 q(x) for x in {bad[:1]} in {lat}")
-    from math import comb
-
     bad = [(n, negated, d) for n in range(1, 5) for d in range(0, 6)
            for negated in ({0}, set(range(n)), set())
            if count_invariant_monomials(n, negated, d)
            + count_invariant_monomials(n, negated, d, "anti_invariant") != comb(n + d - 1, d)]
     require(not bad, f"monomial counts (n, negated, d) = {bad[:1]} do not sum to all monomials")
-    from .nsfamilies import tilde_family
-
     glue_cases = [u2cubed_nikulin_overlattice(), nikulin_square_overlattice()]
     glue_cases += [tilde_family(two_d).overlattice for two_d in (4, 8, 16, 24)]
     for over in glue_cases:

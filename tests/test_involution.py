@@ -24,7 +24,8 @@ from k3lat import (
 )
 from k3lat import linalg
 from k3lat.cli import run
-from k3lat.lattice import nikulin_node_coords
+from k3lat.lattice import nikulin, nikulin_node_coords
+from oracles import nikulin_permutation_matrix
 
 F = Fraction
 
@@ -104,6 +105,19 @@ def test_invariant_and_antiinvariant_of_swap():
     for u in pair.invariant_basis:
         for v in pair.anti_invariant_basis:
             assert linalg.dot(u, v, gram) == 0
+
+
+@pytest.mark.parametrize(
+    "module",
+    [swap_involution(),
+     InvolutionModule(nikulin(), nikulin_permutation_matrix([2, 1, 4, 3, 6, 5, 8, 7]))],
+    ids=["swap", "nikulin-pairs"],
+)
+def test_anti_invariant_basis_is_negated(module):
+    pair = invariant_and_antiinvariant(module)
+    assert pair.anti_invariant.rank > 0
+    for v in pair.anti_invariant_basis:
+        assert linalg.mat_vec(module.action_rows(), v) == [-x for x in v]
 
 
 def test_swap_on_e8_pair_doubles_the_form():
