@@ -286,8 +286,10 @@ def nikulin_node_coords(i: int) -> list[int]:
 
 @_memoized
 def minus_one_sum(n: int = 8) -> Lattice:
-    """<-1>^n, labelled E1..En (exceptional classes)."""
+    """<-1>^n, labelled E1..En (exceptional classes), n >= 1."""
     (n,) = linalg.exact_ints([n], "lattice sizes")
+    if n < 1:
+        raise BadInputError("<-1>^n needs n >= 1")
     g = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
     return Lattice(g, tuple(f"E{i}" for i in range(1, n + 1)), f"<-1>^{n}")
 
@@ -526,7 +528,10 @@ def _short_vectors(lattice: Lattice, norm) -> tuple[tuple[int, ...], ...]:
         raise BadInputError("norm must be a negative even integer") from exc
     if type(norm) is not int or norm >= 0 or norm % 2 != 0:
         raise BadInputError("norm must be a negative even integer")
-    vectors, terms = _vectors_of_norm(lattice.gram, norm)
+    try:
+        vectors, terms = _vectors_of_norm(lattice.gram, norm)
+    except _Unkept as big:
+        vectors, terms = big.args
     if terms > _SHORT_VECTOR_TERM_BOUND:
         raise UnsupportedError(_past_the_term_bound(norm, lattice.rank, terms))
     return vectors
@@ -537,6 +542,16 @@ def _past_the_term_bound(norm: int, rank: int, terms: int) -> str:
             f"{terms} coordinate terms, past the bound {_SHORT_VECTOR_TERM_BOUND}")
 
 
+#: coordinates (vectors times rank) past which a search result is not kept in
+#: the memo.  verify-paper's largest search, Gamma16(-1) at norm -2, has 480 x 16
+#: = 7,680; E8(-1) at norm -20 has 272,160 x 8, about 44 MB as tuples.
+_MEMO_COORDINATE_BOUND = 32_768
+
+
+class _Unkept(Exception):
+    """Carries a search result past _MEMO_COORDINATE_BOUND out of the memo."""
+
+
 # a verify-paper pass searches 5 (Gram, norm) pairs, so a pass never evicts its own
 @functools.lru_cache(maxsize=8)
 def _vectors_of_norm(gram, norm: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -544,7 +559,9 @@ def _vectors_of_norm(gram, norm: int) -> tuple[tuple[tuple[int, ...], ...], int]
 
     Keyed on the Gram and the norm, all the search reads, so a hit is the
     search itself.  The search stops once it sums more than
-    _SHORT_VECTOR_TERM_BOUND terms, and ``lru_cache`` keeps no exception.
+    _SHORT_VECTOR_TERM_BOUND terms, and ``lru_cache`` keeps no exception: a
+    result with more than _MEMO_COORDINATE_BOUND coordinates is raised as
+    ``_Unkept`` for the caller to catch, so it is returned without being kept.
     """
     n = len(gram)
     # -gram is positive definite, so its elimination never pivots and every
@@ -591,4 +608,6 @@ def _vectors_of_norm(gram, norm: int) -> tuple[tuple[tuple[int, ...], ...], int]
     descend(n - 1, -norm * scale, 0, False)
     results += [tuple(-c for c in v) for v in results]
     results.sort()
+    if len(results) * n > _MEMO_COORDINATE_BOUND:
+        raise _Unkept(tuple(results), terms)
     return tuple(results), terms

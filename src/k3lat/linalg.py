@@ -27,6 +27,7 @@ zeros comes back as an int: compare results with ``==`` and divide them with
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -248,8 +249,18 @@ def smith_normal_form(mat):
     """Smith normal form with transforms: returns (d, u, v) with u*mat*v = d.
 
     u and v are unimodular; d is diagonal with nonnegative entries forming a
-    divisibility chain d_1 | d_2 | ...
+    divisibility chain d_1 | d_2 | ...  The elimination is memoized on the
+    integer rows of mat (``_smith``), so a matrix is eliminated once; each
+    call returns new lists, which the caller may change.
     """
+    return tuple([list(row) for row in part] for part in _smith(tuple(map(tuple, mat))))
+
+
+# a verify-paper pass asks for 45 distinct matrices cold and 10 warm, so a pass
+# never evicts its own
+@functools.lru_cache(maxsize=64)
+def _smith(mat: tuple[tuple[int, ...], ...]):
+    """``smith_normal_form`` as tuples of rows, the form its memo keeps."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     d = [list(row) for row in mat]
@@ -315,7 +326,7 @@ def smith_normal_form(mat):
             d[t] = [-a for a in d[t]]
             u[t] = [-a for a in u[t]]
         t += 1
-    return d, u, v
+    return tuple(tuple(map(tuple, part)) for part in (d, u, v))
 
 
 def invariant_factors(mat) -> list[int]:

@@ -14,10 +14,15 @@ Zassenhaus (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14-15):
    squarefree of the same degree.  Primes are searched upward with no limit.
 3. Distinct-degree factorization mod p, then Cantor-Zassenhaus equal-degree
    splitting with a fixed-seed ``random.Random``.
-4. Quadratic multifactor Hensel lifting to p^k > 2 |lc| 2^n ||f||_2, which
-   bounds twice every coefficient of lc times a factor of f.
+4. Quadratic multifactor Hensel lifting to p^k > 2 |lc| C(k', k'/2) ||f||_2,
+   with k' the largest sum of modular-factor degrees that is at most n/2.  By
+   Mignotte's bound (Math. Comp. 28, 1974) this is more than twice every
+   coefficient of lc times a factor of degree at most k', and step 5 never
+   needs a larger factor.
 5. Recombination: products of subsets of the lifted factors, smallest subsets
-   first, kept when they divide exactly over Z.  More than 16 modular factors
+   first, but only those whose degree sum is at most half the degree left
+   (a reducible f has a factor that small; the cofactor covers the rest),
+   kept when they divide exactly over Z.  More than 16 modular factors
    raise UnsupportedError instead of trying 2^16 or more subsets.
 """
 
@@ -287,8 +292,11 @@ def _lift(f, factors, p, steps):
 def _recombine(f, lifted, m):
     """Irreducible factors of f over Z from the monic lifts mod m of its factors mod p."""
     out, s = [], 1
-    while 2 * s <= len(lifted):
+    # stop once even the s lowest-degree factors make more than half of f
+    while 2 * sum(sorted(len(u) - 1 for u in lifted)[:s]) <= len(f) - 1:
         for subset in combinations(range(len(lifted)), s):
+            if 2 * sum(len(lifted[i]) - 1 for i in subset) > len(f) - 1:
+                continue
             g = functools.reduce(lambda x, i: _mul(x, lifted[i], m), subset, [f[-1]])
             g = _primitive(_symmetric(g, m))
             q = _exact_quotient(f, g)
@@ -323,7 +331,11 @@ def _factor_squarefree(f, p=None):
             f"a degree-{len(f) - 1} polynomial has {r} factors mod {p}; "
             f"recombination is supported up to {MAX_MODULAR_FACTORS}"
         )
-    bound = 2 * f[-1] * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    sums = {0}  # the degrees of the factors _recombine tries
+    for u in modular:
+        sums |= {d + len(u) - 1 for d in sums}
+    k = max(d for d in sums if 2 * d <= len(f) - 1)
+    bound = 2 * f[-1] * math.comb(k, k // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
     steps = 0
     while p ** 2 ** steps <= bound:
         steps += 1

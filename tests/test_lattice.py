@@ -175,9 +175,10 @@ def test_memo_keeps_the_float_and_unhashable_refusals(make):
      (lambda: rank_one(0), BadInputError), (lambda: e8(0), BadInputError),
      (lambda: a_n(3, 0), BadInputError), (lambda: direct_sum([]), BadInputError),
      (lambda: a_n(2.5), BadInputError), (lambda: a_n("x"), BadInputError),
-     (lambda: minus_one_sum(2.5), BadInputError)],
+     (lambda: minus_one_sum(2.5), BadInputError), (lambda: minus_one_sum(0), BadInputError),
+     (lambda: minus_one_sum(-3), BadInputError)],
     ids=["a_n(0)", "a_n(33)", "rank_one(0)", "e8-twist-0", "a_n-twist-0", "empty-sum",
-         "a_n(2.5)", "a_n-str", "minus_one_sum(2.5)"],
+         "a_n(2.5)", "a_n-str", "minus_one_sum(2.5)", "minus_one_sum(0)", "minus_one_sum(-3)"],
 )
 def test_refused_constructor_raises_on_every_call(call, error):
     for _ in range(3):

@@ -82,6 +82,40 @@ def test_matches_sympy_on_integer_polynomials(cs):
     assert irreducible_factors(p) == _sympy_factors(p)
 
 
+@st.composite
+def lopsided_products(draw):
+    """A factor of degree > n/2 with up to 30-digit coefficients, times small factors."""
+    big = draw(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=6, max_size=8)
+               .filter(lambda cs: cs[-1] != 0))
+    smalls = draw(st.lists(FACTOR, min_size=1, max_size=3))
+    p = RatPoly([F(c) for c in big])
+    for f in smalls:
+        if p.degree + len(f) - 1 < 2 * (len(big) - 1):  # big keeps more than half
+            p = p * RatPoly(f)
+    return p
+
+
+@st.composite
+def many_modular_factors(draw):
+    """Up to 12 distinct rational roots and t^2 - c: 5 to 14 factors mod the chosen prime."""
+    roots = draw(st.lists(st.integers(-30, 30), min_size=4, max_size=12, unique=True))
+    p = _product(*([-r, 1] for r in roots))
+    c = draw(st.integers(-40, 40))
+    return p * RatPoly([-c, 0, 1]) if c not in {r * r for r in roots} else p
+
+
+@settings(max_examples=40, deadline=None)
+@given(lopsided_products())
+def test_matches_sympy_with_a_factor_of_more_than_half_the_degree(p):
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(many_modular_factors())
+def test_matches_sympy_with_many_modular_factors(p):
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
 _ODD_PRIMES_TO_113 = [p for p in range(3, 114, 2) if all(p % q for q in range(3, p, 2))]
 _P = math.prod(_ODD_PRIMES_TO_113)
 _BIG = random.Random(2024)
@@ -180,6 +214,36 @@ def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
     top = max(factor_moduli)
     assert top not in bezout_moduli
     assert sorted(bezout_moduli) == sorted(m for m in factor_moduli if m != top)
+
+
+def test_lift_stops_at_the_small_side_mignotte_bound(monkeypatch):
+    # mod 3 the factors have degrees 1, 2 and 5, so no recombined factor has
+    # degree above 3, and the bound has C(3, 1) = 3 where 2^8 stood before
+    g3, g5 = [58, 69, 25, 5], [-97, -5, -22, -63, 74, 4]
+    f = polyfactor._mul(g3, g5)
+    lift_factors, recombine = polyfactor._hensel_factors, polyfactor._recombine
+    factor_moduli, recombined = [], []
+
+    def count_factors(f, g, h, s, t, m):
+        factor_moduli.append(m)
+        return lift_factors(f, g, h, s, t, m)
+
+    def record(f, lifted, m):
+        recombined.append((sorted(len(u) - 1 for u in lifted), m))
+        return recombine(f, lifted, m)
+
+    monkeypatch.setattr(polyfactor, "_hensel_factors", count_factors)
+    monkeypatch.setattr(polyfactor, "_recombine", record)
+    polyfactor.factor.cache_clear()
+    try:
+        assert polyfactor.factor(tuple(f)) == ((tuple(g3), 1), (tuple(g5), 1))
+    finally:
+        polyfactor.factor.cache_clear()
+    norm = math.isqrt(sum(c * c for c in f)) + 1
+    assert 3 ** 8 <= 2 * 20 * 3 * norm < 3 ** 16 <= 2 * 20 * 2 ** 8 * norm
+    assert recombined == [([1, 2, 5], 3 ** 16)]
+    # both lifting nodes square their modulus from 3 up to the top, 3^8 -> 3^16
+    assert sorted(factor_moduli) == sorted([3, 3 ** 2, 3 ** 4, 3 ** 8] * 2)
 
 
 # -- squarefree decomposition, memo and limits -------------------------------------

@@ -1,9 +1,10 @@
-"""The memos of the short-vector search, the orbit partition and the span index.
+"""The memos of the short-vector search, the orbit partition, the span index and the Smith form.
 
 Each memo sits behind a public function that validates its input and keys
 the memo on the validated data only.  A hit must equal a cold result, a
 caller may change what it was handed, and a refused input raises on every
-call, also after the same valid input was cached.
+call, also after the same valid input was cached.  A search result too
+large to keep is returned without being kept.
 """
 
 import copy
@@ -60,11 +61,18 @@ def _index_cases():
     return [(u, [[1, 0], [0, 1]]), (u, [[2, 0], [0, 2]]), (nikulin(), nodes), (Lattice([]), [])]
 
 
+def _smith_cases():
+    # square, wide, tall, a zero row and the empty matrix
+    return [(e8(-2).gram,), (nikulin().gram,), ([[2, 4, 4], [-6, 6, 12]],),
+            ([[6, 0], [0, 4], [2, 2]],), ([[0, 0], [3, 9]],), ([],)]
+
+
 #: name -> (public function, its memoized builder, the cases)
 MEMOS = {
     "vectors": (enumerate_vectors_of_norm, lattice._vectors_of_norm, _search_cases),
     "orbits": (orbits_under_generators, discforms._orbits, _orbit_cases),
     "index": (sublattice_index, lattice._span_index, _index_cases),
+    "smith": (linalg.smith_normal_form, linalg._smith, _smith_cases),
 }
 
 
@@ -95,6 +103,52 @@ def test_changing_a_result_leaves_the_next_one_unchanged(name):
                 item.clear()
         first.append(first[0] if first else ())
         assert call(*args) == expected
+
+
+def test_each_smith_form_is_new_lists_the_caller_may_change():
+    for (mat,) in _smith_cases():
+        first = linalg.smith_normal_form(mat)
+        expected = copy.deepcopy(first)
+        second = linalg.smith_normal_form(mat)
+        assert second == expected
+        assert all(a is not b for a, b in zip(first, second))
+        assert all(r is not s for a, b in zip(first, second) for r, s in zip(a, b))
+        for part in first:
+            for row in part:
+                row[:] = [x + 1 for x in row]
+            part.append([7])
+        assert linalg.smith_normal_form(mat) == expected
+
+
+def test_a_second_pass_runs_no_smith_elimination(monkeypatch):
+    assert all(r.passed for r in verify.run_all(DEFAULT_SEED))
+    misses = linalg._smith.cache_info().misses
+    calls = []
+    smith = linalg.smith_normal_form
+
+    def counting(mat):
+        calls.append(len(mat))
+        return smith(mat)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    assert all(r.passed for r in verify.run_all(DEFAULT_SEED + 1))
+    # the pass asks for Smith forms (kernels, invariant factors) but eliminates none
+    assert calls and linalg._smith.cache_info().misses == misses
+
+
+def test_a_search_past_the_memo_coordinate_bound_is_not_kept():
+    # E8(-1) at norm -6: 6,720 vectors of 8 coordinates
+    lattice._vectors_of_norm.cache_clear()
+    kept = enumerate_vectors_of_norm(e8(-1), -2)
+    info = lattice._vectors_of_norm.cache_info()
+    big = enumerate_vectors_of_norm(e8(-1), -6)
+    assert len(big) == 6720 and len(big) * 8 > lattice._MEMO_COORDINATE_BOUND
+    assert lattice._vectors_of_norm.cache_info().currsize == info.currsize == 1
+    # a second call searches again, with the same result; the kept search still hits
+    assert enumerate_vectors_of_norm(e8(-1), -6) == big
+    assert enumerate_vectors_of_norm(e8(-1), -2) == kept
+    after = lattice._vectors_of_norm.cache_info()
+    assert (after.currsize, after.misses, after.hits) == (1, info.misses + 2, info.hits + 1)
 
 
 def test_a_search_past_a_lowered_term_bound_raises_on_every_call(monkeypatch):
