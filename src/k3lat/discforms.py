@@ -223,11 +223,14 @@ class FiniteQuadraticForm:
 # about 33 distinct Grams per verify-paper pass, so a pass never evicts its own
 @functools.lru_cache(maxsize=64)
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
-    """Discriminant form of an even nondegenerate lattice via Smith normal form."""
+    """Discriminant form of an even nondegenerate lattice via Smith normal form.
+
+    The Gram is eliminated outside the Smith memo: this memo keeps the form.
+    """
     if not lattice.is_even:
         raise OddLatticeError("discriminant quadratic form needs an even lattice")
     n = lattice.rank
-    d, u, v = linalg.smith_normal_form(lattice.gram)
+    d, u, v = linalg.smith_normal_form(lattice.gram, keep=False)
     keep = [i for i in range(n) if d[i][i] > 1]
     columns = [[v[r][i] for r in range(n)] for i in keep]
     return FiniteQuadraticForm(lattice, [d[i][i] for i in keep], columns, [u[i] for i in keep])

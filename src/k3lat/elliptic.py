@@ -153,8 +153,9 @@ class RatPoly:
     def gcd(self, other: "RatPoly") -> "RatPoly":
         """Monic gcd over Q (zero when both are zero).
 
-        ``polyfactor._gcd_z``, the primitive pseudo-remainder sequence of Yun's
-        squarefree decomposition, on the cleared-denominator coefficients.
+        ``polyfactor._gcd_z`` on the cleared-denominator coefficients: 1 as
+        soon as they are coprime mod a small prime not dividing the leading
+        coefficient, otherwise the primitive pseudo-remainder sequence.
         """
         other = _coerce(other)
         if self.is_zero or other.is_zero:

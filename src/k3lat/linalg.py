@@ -245,18 +245,21 @@ def hermite_normal_form(rows) -> IntMatrix:
     return mat[:pr]
 
 
-def smith_normal_form(mat):
+def smith_normal_form(mat, keep=True):
     """Smith normal form with transforms: returns (d, u, v) with u*mat*v = d.
 
     u and v are unimodular; d is diagonal with nonnegative entries forming a
     divisibility chain d_1 | d_2 | ...  The elimination is memoized on the
-    integer rows of mat (``_smith``), so a matrix is eliminated once; each
-    call returns new lists, which the caller may change.
+    integer rows of mat (``_smith``), so a matrix is eliminated once; a caller
+    with a memo of its own (``discriminant_form``) passes keep=False, which
+    eliminates without filling this one.  Each call returns new lists, which
+    the caller may change.
     """
-    return tuple([list(row) for row in part] for part in _smith(tuple(map(tuple, mat))))
+    smith = _smith if keep else _smith.__wrapped__
+    return tuple([list(row) for row in part] for part in smith(tuple(map(tuple, mat))))
 
 
-# a verify-paper pass asks for 45 distinct matrices cold and 10 warm, so a pass
+# a verify-paper pass asks for 10 distinct matrices, cold or warm, so a pass
 # never evicts its own
 @functools.lru_cache(maxsize=64)
 def _smith(mat: tuple[tuple[int, ...], ...]):

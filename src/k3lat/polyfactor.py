@@ -7,9 +7,11 @@ so they are exact on int and ``Fraction`` coefficients alike: they and
 integer-primitive polynomial with positive leading coefficient and follows
 Zassenhaus (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14-15):
 
-1. If an odd prime p not dividing the leading coefficient keeps gcd(f, f') = 1
-   mod p, f is squarefree over Q.  Otherwise Yun's algorithm (1976) splits f
-   into pairwise coprime squarefree parts, each factored on its own.
+1. If a p in ``CERTIFYING_PRIMES`` keeps deg f and gcd(f, f') = 1 mod p, f is
+   squarefree over Q; the least such p serves step 2.  Otherwise Yun's
+   algorithm (1976) splits f into pairwise coprime squarefree parts, each
+   factored on its own; its gcds (``_gcd_z``) run the primitive PRS only
+   when no such prime proves them 1.
 2. A squarefree part is reduced mod the least odd prime that keeps it
    squarefree of the same degree.  Primes are searched upward with no limit.
 3. Distinct-degree factorization mod p, then Cantor-Zassenhaus equal-degree
@@ -30,12 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from itertools import combinations
 
 from .errors import UnsupportedError, require
 
 MAX_MODULAR_FACTORS = 16
+CERTIFYING_PRIMES = (3, 5, 7)
 
 
 def _trim(a, m=0):
@@ -50,11 +54,11 @@ def _trim(a, m=0):
 def _add(a, b, m=0):
     if len(a) < len(b):
         a, b = b, a
-    return _trim([c + b[i] if i < len(b) else c for i, c in enumerate(a)], m)
+    return _trim([*map(operator.add, a, b), *a[len(b):]], m)
 
 
 def _sub(a, b, m=0):
-    return _add(a, [-c for c in b], m)
+    return _trim([*map(operator.sub, a, b), *a[len(b):], *(-c for c in b[len(a):])], m)
 
 
 def _mul(a, b, m=0):
@@ -63,8 +67,8 @@ def _mul(a, b, m=0):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return _trim(out, m)
 
 
@@ -87,16 +91,25 @@ def _symmetric(a, m):
 
 
 def _divmod(a, b, m):
-    inv = pow(b[-1], -1, m)
-    rem, d = list(a), len(b) - 1
+    rem, inv, d = list(a), pow(b[-1], -1, m), len(b) - 1
     quo = [0] * max(0, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q = quo[i - d] = rem[i] * inv % m
+        if q:
+            for j, c in enumerate(b, i - d):
+                rem[j] -= q * c
+    return _trim(quo), _trim(rem[:d], m)
+
+
+def _rem(a, b, m):
+    """The remainder of ``_divmod`` alone, for the callers that drop the quotient."""
+    rem, inv, d = list(a), pow(b[-1], -1, m), len(b) - 1
     for i in range(len(rem) - 1, d - 1, -1):
         q = rem[i] * inv % m
         if q:
-            quo[i - d] = q
-            for j, c in enumerate(b):
-                rem[i - d + j] -= q * c
-    return _trim(quo), _trim(rem[:d], m)
+            for j, c in enumerate(b, i - d):
+                rem[j] -= q * c
+    return _trim(rem[:d], m)
 
 
 def _monic(a, p):
@@ -107,7 +120,7 @@ def _monic(a, p):
 def _gcd(a, b, p):
     """Monic gcd mod the prime p; a is nonzero."""
     while b:
-        a, b = b, _divmod(a, b, p)[1]
+        a, b = b, _rem(a, b, p)
     return _monic(a, p)
 
 
@@ -126,13 +139,13 @@ def _bezout(g, h, p):
 
 def _powmod(a, e, f, p):
     """a^e mod (f, p)."""
-    out, a = [1], _divmod(a, f, p)[1]
+    out, a = [1], _rem(a, f, p)
     while e:
         if e & 1:
-            out = _divmod(_mul(out, a), f, p)[1]
+            out = _rem(_mul(out, a), f, p)
         e >>= 1
         if e:
-            a = _divmod(_mul(a, a), f, p)[1]
+            a = _rem(_mul(a, a), f, p)
     return out
 
 
@@ -165,7 +178,19 @@ def _divide(a, b):
 
 
 def _gcd_z(a, b):
-    """Primitive gcd over Z with positive leading coefficient (primitive PRS)."""
+    """Primitive gcd over Z with positive leading coefficient; a is nonzero.
+
+    [1] if a, b are coprime mod a p in ``CERTIFYING_PRIMES`` not dividing lc(a),
+    since a common factor keeps its degree mod p (its lc divides lc(a)) and
+    divides both reductions: Brown's early exit.  Else the primitive PRS.
+    """
+    for p in CERTIFYING_PRIMES:
+        if a[-1] % p and len(_gcd(_trim(a, p), _trim(b, p), p)) == 1:
+            return [1]
+    return _prs(a, b)
+
+
+def _prs(a, b):
     a, b = _primitive(a), _primitive(b) if b else []
     while b:
         r, lead, d = a, b[-1], len(b) - 1
@@ -211,11 +236,8 @@ def _odd_primes():
 
 
 def _separable_mod(f, p):
-    """Whether f keeps its degree and stays squarefree mod p."""
-    if f[-1] % p == 0:
-        return False
-    df = _trim(_derivative(f), p)
-    return bool(df) and len(_gcd(_trim(f, p), df, p)) == 1
+    """Whether f, of degree >= 1, keeps its degree and stays squarefree mod p."""
+    return f[-1] % p != 0 and len(_gcd(_trim(f, p), _trim(_derivative(f), p), p)) == 1
 
 
 def _distinct_degree(f, p):
@@ -231,7 +253,7 @@ def _distinct_degree(f, p):
         if len(g) > 1:
             out.append((g, d))
             f = _divmod(f, g, p)[0]
-            h = _divmod(h, f, p)[1]
+            h = _rem(h, f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -352,10 +374,10 @@ def factor(f: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     if len(f) < 2:
         return ()
-    # the primes below p divide lc(f), so if p keeps f separable it is the
-    # least such prime and _factor_squarefree need not search again
-    p = next(p for p in _odd_primes() if f[-1] % p)
-    if _separable_mod(f, p):
+    # the first of CERTIFYING_PRIMES that keeps f separable is the least odd
+    # prime that does, so _factor_squarefree need not search again
+    p = next((p for p in CERTIFYING_PRIMES if _separable_mod(f, p)), None)
+    if p:
         out = [(tuple(g), 1) for g in _factor_squarefree(list(f), p)]
     else:
         parts = squarefree_decomposition(list(f))

@@ -227,7 +227,8 @@ def check_eigenspaces_and_moduli() -> dict:
 def _random_weierstrass(rng: random.Random) -> WeierstrassFibration:
     # General member of the family: deg(a^2 - 4b) = 8 (good fiber at infinity),
     # b and a^2 - 4b squarefree and coprime.  Screened with gcds only, never
-    # with ``factor``, the factorization under test.
+    # with ``factor``, the factorization under test; a gcd is certified 1 mod
+    # a small prime, and only an uncertified pair runs the PRS over Z.
     nonzero = [-3, -2, -1, 1, 2, 3]
     while True:
         lead_a = rng.choice(nonzero)

@@ -12,10 +12,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat import polyfactor
+from k3lat import polyfactor, verify
 from k3lat.elliptic import RatPoly, irreducible_factors
 from k3lat.errors import UnsupportedError
-from oracles import squarefree_part
+from oracles import fraction_poly, fraction_poly_gcd, squarefree_part
 
 F = Fraction
 _T = sympy.Symbol("t")
@@ -215,6 +215,18 @@ def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
     assert top not in bezout_moduli
     assert sorted(bezout_moduli) == sorted(m for m in factor_moduli if m != top)
 
+    # t^2 + t + 1 = (t - 1)^2 mod 3 is separable mod 5, so Yun is never entered
+    primes_tested.clear()
+    entered = []
+    monkeypatch.setattr(polyfactor, "squarefree_decomposition", entered.append)
+    polyfactor.factor.cache_clear()
+    try:
+        assert polyfactor.factor((1, 1, 1)) == (((1, 1, 1), 1),)
+    finally:
+        polyfactor.factor.cache_clear()
+    assert primes_tested == [3, 5]
+    assert entered == []
+
 
 def test_lift_stops_at_the_small_side_mignotte_bound(monkeypatch):
     # mod 3 the factors have degrees 1, 2 and 5, so no recombined factor has
@@ -244,6 +256,68 @@ def test_lift_stops_at_the_small_side_mignotte_bound(monkeypatch):
     assert recombined == [([1, 2, 5], 3 ** 16)]
     # both lifting nodes square their modulus from 3 up to the top, 3^8 -> 3^16
     assert sorted(factor_moduli) == sorted([3, 3 ** 2, 3 ** 4, 3 ** 8] * 2)
+
+
+# -- the gcd over Z and its certificate mod small primes -----------------------------
+
+#: leading coefficients divisible by 3, 5 or 7 (or all three), which the
+#: certificate must skip, and units for every prime
+_LEAD = st.sampled_from([1, -1, 2, 3, -5, 7, 15, -21, 35, 105])
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Integer pairs with a planted common factor (often a constant), b sometimes zero."""
+
+    def poly(max_degree):
+        return draw(st.lists(st.integers(-9, 9), max_size=max_degree)) + [draw(_LEAD)]
+
+    shared = poly(3)
+    a = polyfactor._mul(shared, poly(5))
+    b = polyfactor._mul(shared, poly(5)) if draw(st.integers(0, 9)) else []
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcd_pairs())
+def test_gcd_z_matches_the_fraction_euclid_oracle(pair):
+    a, b = pair
+    monic = fraction_poly_gcd(fraction_poly(a), fraction_poly(b))
+    assert tuple(polyfactor._gcd_z(a, b)) == _primitive_normalized(monic).coeffs
+
+
+def test_the_certificate_skips_a_prime_dividing_the_leading_coefficient():
+    # (3t + 1)(t + 1) and (3t + 1)(t + 2) are t + 1 and t + 2 mod 3, coprime there
+    assert polyfactor._gcd_z([1, 4, 3], [2, 7, 3]) == [1, 3]
+
+
+def test_a_pair_coprime_over_q_but_not_mod_3_5_or_7_runs_the_prs(monkeypatch):
+    runs = []
+    prs = polyfactor._prs
+
+    def count(a, b):
+        runs.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(polyfactor, "_prs", count)
+    # t and t + 105 = 3 * 5 * 7 agree mod each certifying prime
+    assert polyfactor._gcd_z([0, 1], [105, 1]) == [1]
+    assert runs == [([0, 1], [105, 1])]
+
+
+def test_a_warm_pass_runs_at_most_five_prs(monkeypatch):
+    assert all(r.passed for r in verify.run_all(0))
+    runs = []
+    prs = polyfactor._prs
+
+    def count(a, b):
+        runs.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(polyfactor, "_prs", count)
+    assert all(r.passed for r in verify.run_all(1))
+    # the draw screens' gcds and Yun's gcd(f, f') are certified coprime mod p
+    assert len(runs) <= 5
 
 
 # -- squarefree decomposition, memo and limits -------------------------------------

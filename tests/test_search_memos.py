@@ -28,7 +28,7 @@ from k3lat import (
     sublattice_index,
     verify,
 )
-from k3lat import discforms, lattice, linalg
+from k3lat import discforms, gluing, lattice, linalg
 from k3lat.verify import DEFAULT_SEED
 from oracles import nikulin_permutation_matrix
 
@@ -134,6 +134,38 @@ def test_a_second_pass_runs_no_smith_elimination(monkeypatch):
     assert all(r.passed for r in verify.run_all(DEFAULT_SEED + 1))
     # the pass asks for Smith forms (kernels, invariant factors) but eliminates none
     assert calls and linalg._smith.cache_info().misses == misses
+
+
+def test_discriminant_forms_are_eliminated_outside_the_smith_memo(monkeypatch):
+    # discriminant_form keeps its own memo on the Gram, so the Smith memo keeps
+    # only the kernel and invariant-factor matrices
+    asked = set()
+    original = discforms.discriminant_form
+
+    def recording(lat):
+        asked.add(tuple(map(tuple, lat.gram)))
+        return original(lat)
+
+    for module in (discforms, gluing, verify):
+        monkeypatch.setattr(module, "discriminant_form", recording)
+    for memo in (original, discforms.lattice_fingerprint, gluing.glue, linalg._smith):
+        memo.cache_clear()
+    assert all(r.passed for r in verify.run_all(DEFAULT_SEED))
+    assert asked
+    eliminated = []
+    unkept = linalg._smith.__wrapped__
+    monkeypatch.setattr(linalg._smith, "__wrapped__", lambda mat: eliminated.append(mat) or unkept(mat))
+    misses = linalg._smith.cache_info().misses
+    assert all(r.passed for r in verify.run_all(DEFAULT_SEED + 1))
+    # a warm pass eliminates nothing, inside the memo or outside it
+    assert linalg._smith.cache_info().misses == misses and eliminated == []
+    # each probe that misses adds its Gram; with room for all, no probe evicts another
+    info = linalg._smith.cache_info()
+    assert info.currsize + len(asked) <= info.maxsize
+    for gram in asked:
+        hits = linalg._smith.cache_info().hits
+        linalg._smith(gram)
+        assert linalg._smith.cache_info().hits == hits, f"the Smith memo keeps {gram}"
 
 
 def test_a_search_past_the_memo_coordinate_bound_is_not_kept():
