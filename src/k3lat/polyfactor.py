@@ -138,14 +138,12 @@ def _bezout(g, h, p):
 
 
 def _powmod(a, e, f, p):
-    """a^e mod (f, p)."""
-    out, a = [1], _rem(a, f, p)
-    while e:
-        if e & 1:
+    """a^e mod (f, p) for e >= 1, by the bits of e below the leading one."""
+    out = a = _rem(a, f, p)
+    for bit in bin(e)[3:]:
+        out = _rem(_mul(out, out), f, p)
+        if bit == "1":
             out = _rem(_mul(out, a), f, p)
-        e >>= 1
-        if e:
-            a = _rem(_mul(a, a), f, p)
     return out
 
 
