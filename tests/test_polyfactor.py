@@ -291,7 +291,8 @@ def test_the_certificate_skips_a_prime_dividing_the_leading_coefficient():
     assert polyfactor._gcd_z([1, 4, 3], [2, 7, 3]) == [1, 3]
 
 
-def test_a_pair_coprime_over_q_but_not_mod_3_5_or_7_runs_the_prs(monkeypatch):
+def _count_prs(monkeypatch):
+    """The list of (a, b) each later PRS run is called with."""
     runs = []
     prs = polyfactor._prs
 
@@ -300,6 +301,11 @@ def test_a_pair_coprime_over_q_but_not_mod_3_5_or_7_runs_the_prs(monkeypatch):
         return prs(a, b)
 
     monkeypatch.setattr(polyfactor, "_prs", count)
+    return runs
+
+
+def test_a_pair_coprime_over_q_but_not_mod_3_5_or_7_runs_the_prs(monkeypatch):
+    runs = _count_prs(monkeypatch)
     # t and t + 105 = 3 * 5 * 7 agree mod each certifying prime
     assert polyfactor._gcd_z([0, 1], [105, 1]) == [1]
     assert runs == [([0, 1], [105, 1])]
@@ -307,14 +313,7 @@ def test_a_pair_coprime_over_q_but_not_mod_3_5_or_7_runs_the_prs(monkeypatch):
 
 def test_a_warm_pass_runs_at_most_five_prs(monkeypatch):
     assert all(r.passed for r in verify.run_all(0))
-    runs = []
-    prs = polyfactor._prs
-
-    def count(a, b):
-        runs.append((a, b))
-        return prs(a, b)
-
-    monkeypatch.setattr(polyfactor, "_prs", count)
+    runs = _count_prs(monkeypatch)
     assert all(r.passed for r in verify.run_all(1))
     # the draw screens' gcds and Yun's gcd(f, f') are certified coprime mod p
     assert len(runs) <= 5
