@@ -16,16 +16,17 @@ Zassenhaus (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 14-15):
    squarefree of the same degree.  Primes are searched upward with no limit.
 3. Distinct-degree factorization mod p, then Cantor-Zassenhaus equal-degree
    splitting with a fixed-seed ``random.Random``.
-4. Quadratic multifactor Hensel lifting to p^k > 2 |lc| C(k', k'/2) ||f||_2,
-   with k' the largest sum of modular-factor degrees that is at most n/2.  By
-   Mignotte's bound (Math. Comp. 28, 1974) this is more than twice every
-   coefficient of lc times a factor of degree at most k', and step 5 never
-   needs a larger factor.
+4. Quadratic Hensel lifting, one modular factor at a time and only those of
+   degree at most n/2, to p^k > 2 |lc| C(k', k'/2) ||f||_2, with k' the
+   largest sum of modular-factor degrees that is at most n/2.  By Mignotte's
+   bound (Math. Comp. 28, 1974) this is more than twice every coefficient of
+   lc times a factor of degree at most k'.  Each lift is checked to divide f.
 5. Recombination: products of subsets of the lifted factors, smallest subsets
    first, but only those whose degree sum is at most half the degree left
-   (a reducible f has a factor that small; the cofactor covers the rest),
-   kept when they divide exactly over Z.  More than 16 modular factors
-   raise UnsupportedError instead of trying 2^16 or more subsets.
+   (a reducible f has a factor that small, whose modular factors are all
+   lifted; the cofactor covers the rest), kept when they divide exactly over
+   Z.  More than 16 modular factors raise UnsupportedError instead of trying
+   2^16 or more subsets.
 """
 
 from __future__ import annotations
@@ -124,17 +125,15 @@ def _gcd(a, b, p):
     return _monic(a, p)
 
 
-def _bezout(g, h, p):
-    """s, t with s g + t h = 1 mod p, for g and h coprime mod p."""
-    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
+def _inverse(a, g, p):
+    """a^-1 mod (g, p), for a coprime to g mod the prime p (extended Euclid)."""
+    r0, r1, s0, s1 = g, _rem(a, g, p), [], [1]
     while r1:
         q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1), p)
-    require(len(r0) == 1, f"factors of degrees {len(g) - 1} and {len(h) - 1} share a root mod {p}")
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1), p)
+    require(len(r0) == 1, f"a degree-{len(g) - 1} factor shares a root with its cofactor mod {p}")
     inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+    return [c * inv % p for c in s0]
 
 
 def _powmod(a, e, f, p):
@@ -181,7 +180,10 @@ def _gcd_z(a, b):
     [1] if a, b are coprime mod a p in ``CERTIFYING_PRIMES`` not dividing lc(a),
     since a common factor keeps its degree mod p (its lc divides lc(a)) and
     divides both reductions: Brown's early exit.  Else the primitive PRS.
+    gcd(a, 0) is the primitive part of a, with no prime tried.
     """
+    if not b:
+        return _primitive(a)
     for p in CERTIFYING_PRIMES:
         if a[-1] % p and len(_gcd(_trim(a, p), _trim(b, p), p)) == 1:
             return [1]
@@ -213,6 +215,8 @@ def squarefree_decomposition(f):
     g = _gcd_z(f, df)
     b, c, i = _divide(f, g), _divide(df, g), 1
     while len(b) > 1:
+        # round i splits off the multiplicity-i part, and none exceeds deg f
+        require(i < len(f), f"Yun: degree {len(f) - 1}, yet a part of multiplicity {i} is left")
         d = _sub(c, _derivative(b))
         a = _gcd_z(b, d)
         b, c = _divide(b, a), _divide(d, a)
@@ -225,8 +229,8 @@ def squarefree_decomposition(f):
 # -- mod p factorization -------------------------------------------------------
 
 
-def _odd_primes():
-    p = 3
+def _odd_primes(p=3):
+    """The primes from the odd p upward."""
     while True:
         if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
             yield p
@@ -276,44 +280,35 @@ def _equal_degree(g, d, p, rng):
 # -- Hensel lifting and recombination ------------------------------------------
 
 
-def _hensel_factors(f, g, h, s, t, m):
-    """From f = g h, s g + t h = 1 mod m (h monic) to f = g h mod m^2."""
-    mm = m * m
-    e = _sub(f, _mul(g, h), mm)
-    q, r = _divmod(_mul(s, e), h, mm)
-    return _add(g, _add(_mul(t, e), _mul(q, g)), mm), _add(h, r, mm)
+def _newton_inverse(t, q, g, m):
+    """From t = q^-1 mod (g, sqrt m) to q^-1 mod (g, m): one Newton step t (2 - q t)."""
+    return _rem(_mul(t, _sub([2], _rem(_mul(q, t), g, m), m)), g, m)
 
 
-def _hensel_bezout(g, h, s, t, m):
-    """From s g + t h = 1 mod m to the same mod m^2, for the lifted g and h."""
-    mm = m * m
-    b = _sub(_add(_mul(s, g), _mul(t, h)), [1], mm)
-    c, d = _divmod(_mul(s, b), h, mm)
-    return _sub(s, d, mm), _sub(t, _add(_mul(t, b), _mul(c, g)), mm)
+def _lift(f, u, p, steps):
+    """The monic lift mod p^(2^steps) of a monic factor u mod p of f, f squarefree mod p.
 
-
-def _lift(f, factors, p, steps):
-    """Monic lifts mod p^(2^steps) of the monic factors mod p of f = lc(f) prod factors."""
-    if len(factors) == 1:
-        return [_monic(f, p ** 2 ** steps)]
-    half = len(factors) // 2
-    g = functools.reduce(lambda x, y: _mul(x, y, p), factors[:half], [f[-1] % p])
-    h = functools.reduce(lambda x, y: _mul(x, y, p), factors[half:])
-    s, t = _bezout(g, h, p)
-    m = p
+    Each step goes from g | f mod m to g | f mod m^2: with f = q g + e mod m^2
+    (so e = 0 mod m) and t = q^-1 mod (g, m), g + (t e rem g) divides f mod m^2.
+    t comes from ``_inverse`` mod p, later from a Newton step.  By Hensel's
+    uniqueness the lift is the one monic factor of f mod p^(2^steps) that is u.
+    """
+    g, m = u, p
     for step in range(steps):
-        g, h = _hensel_factors(f, g, h, s, t, m)
-        if step < steps - 1:  # the last s and t would go unused
-            s, t = _hensel_bezout(g, h, s, t, m)
-        m *= m
-    return _lift(g, factors[:half], p, steps) + _lift(h, factors[half:], p, steps)
+        mm = m * m
+        q, e = _divmod(f, g, mm)
+        t = _newton_inverse(t, q, g, m) if step else _inverse(q, g, p)
+        g = _add(g, _rem(_mul(t, e), g, mm), mm)
+        m = mm
+    require(not _rem(f, g, m), f"a degree-{len(g) - 1} lift does not divide f mod {p}^{2 ** steps}")
+    return g
 
 
 def _recombine(f, lifted, m):
     """Irreducible factors of f over Z from the monic lifts mod m of its factors mod p."""
     out, s = [], 1
-    # stop once even the s lowest-degree factors make more than half of f
-    while 2 * sum(sorted(len(u) - 1 for u in lifted)[:s]) <= len(f) - 1:
+    # stop past the largest subset, or once the s lowest-degree factors make over half of f
+    while s <= len(lifted) and 2 * sum(sorted(len(u) - 1 for u in lifted)[:s]) <= len(f) - 1:
         for subset in combinations(range(len(lifted)), s):
             if 2 * sum(len(lifted[i]) - 1 for i in subset) > len(f) - 1:
                 continue
@@ -330,16 +325,16 @@ def _recombine(f, lifted, m):
     return out + [f]
 
 
-def _factor_squarefree(f, p=None):
+def _factor_squarefree(f, p=None, start=3):
     """Irreducible factors over Z of a primitive squarefree f with positive lc.
 
     p, when given, is the least odd prime that keeps f separable; otherwise
-    it is searched for here.
+    it is searched for here from the odd ``start`` up, no prime below which does.
     """
     if len(f) == 2:
         return [f]
     if p is None:
-        p = next(p for p in _odd_primes() if _separable_mod(f, p))
+        p = next(p for p in _odd_primes(start) if _separable_mod(f, p))
     rng = random.Random(0)
     monic = _monic(_trim(f, p), p)
     modular = [u for g, d in _distinct_degree(monic, p) for u in _equal_degree(g, d, p, rng)]
@@ -359,7 +354,9 @@ def _factor_squarefree(f, p=None):
     steps = 0
     while p ** 2 ** steps <= bound:
         steps += 1
-    return _recombine(f, _lift(f, modular, p, steps), p ** 2 ** steps)
+    # a factor of more than half the degree is in no subset _recombine tries
+    lifted = [_lift(f, u, p, steps) for u in modular if 2 * (len(u) - 1) <= len(f) - 1]
+    return _recombine(f, lifted, p ** 2 ** steps)
 
 
 @functools.lru_cache(maxsize=512)
@@ -377,7 +374,8 @@ def factor(f: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     p = next((p for p in CERTIFYING_PRIMES if _separable_mod(f, p)), None)
     if p:
         out = [(tuple(g), 1) for g in _factor_squarefree(list(f), p)]
-    else:
-        parts = squarefree_decomposition(list(f))
-        out = [(tuple(g), e) for a, e in parts for g in _factor_squarefree(a)]
+    else:  # CERTIFYING_PRIMES all failed f, so a part that is f searches past them
+        past = CERTIFYING_PRIMES[-1] + 2
+        out = [(tuple(g), e) for a, e in squarefree_decomposition(list(f))
+               for g in _factor_squarefree(a, start=past if a == list(f) else 3)]
     return tuple(sorted(out, key=lambda ge: (len(ge[0]), ge[0])))

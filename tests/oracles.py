@@ -1,8 +1,10 @@
 """Constructions that only the tests use, shared by several test modules."""
 
+import functools
 from fractions import Fraction
 
 from k3lat import linalg
+from k3lat.polyfactor import _add, _divmod, _monic, _mul, _sub
 from k3lat.lattice import nikulin_node_coords
 
 
@@ -134,3 +136,48 @@ def fraction_poly_gcd(a, b) -> list[Fraction]:
 
 def fraction_poly_derivative(a) -> list[Fraction]:
     return fraction_poly([i * c for i, c in enumerate(a)][1:])
+
+
+# The multifactor Hensel tree (von zur Gathen-Gerhard, *Modern Computer
+# Algebra*, Algorithm 15.17): each node splits its factors in two halves g, h
+# and lifts f = g h together with s g + t h = 1.  By Hensel's uniqueness the
+# per-factor lifts of ``polyfactor._lift`` must equal its leaves.
+
+
+def _tree_bezout(g, h, p):
+    """s, t with s g + t h = 1 mod p, for g and h coprime mod p."""
+    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _tree_hensel_step(f, g, h, s, t, m):
+    """From f = g h, s g + t h = 1 mod m (h monic) to both mod m^2."""
+    mm = m * m
+    e = _sub(f, _mul(g, h), mm)
+    q, r = _divmod(_mul(s, e), h, mm)
+    g, h = _add(g, _add(_mul(t, e), _mul(q, g)), mm), _add(h, r, mm)
+    b = _sub(_add(_mul(s, g), _mul(t, h)), [1], mm)
+    c, d = _divmod(_mul(s, b), h, mm)
+    return g, h, _sub(s, d, mm), _sub(t, _add(_mul(t, b), _mul(c, g)), mm)
+
+
+def tree_hensel_lift(f, factors, p, steps):
+    """Monic lifts mod p^(2^steps) of the monic factors mod p of f = lc(f) prod factors."""
+    if len(factors) == 1:
+        return [_monic(f, p ** 2 ** steps)]
+    half = len(factors) // 2
+    g = functools.reduce(lambda x, y: _mul(x, y, p), factors[:half], [f[-1] % p])
+    h = functools.reduce(lambda x, y: _mul(x, y, p), factors[half:])
+    s, t = _tree_bezout(g, h, p)
+    m = p
+    for _ in range(steps):
+        g, h, s, t = _tree_hensel_step(f, g, h, s, t, m)
+        m *= m
+    return (tree_hensel_lift(g, factors[:half], p, steps)
+            + tree_hensel_lift(h, factors[half:], p, steps))

@@ -3,19 +3,21 @@
 sympy is a test oracle only; the package never imports it.
 """
 
+import functools
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lat import polyfactor, verify
 from k3lat.elliptic import RatPoly, irreducible_factors
-from k3lat.errors import UnsupportedError
-from oracles import fraction_poly, fraction_poly_gcd, squarefree_part
+from k3lat.errors import CheckFailed, UnsupportedError
+from oracles import fraction_poly, fraction_poly_gcd, squarefree_part, tree_hensel_lift
 
 F = Fraction
 _T = sympy.Symbol("t")
@@ -181,27 +183,50 @@ def test_swinnerton_dyer_octic_needs_recombination(monkeypatch):
     assert len(seen) == 1 and seen[0][0] >= 4 and seen[0][1] == 1
 
 
-def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
-    separable_mod, lift_factors, lift_bezout = (
-        polyfactor._separable_mod, polyfactor._hensel_factors, polyfactor._hensel_bezout
-    )
-    primes_tested, factor_moduli, bezout_moduli = [], [], []
+def _count_lifts(monkeypatch, f):
+    """Lists, in call order, of the moduli each Hensel step takes g to and t is q^-1 mod.
 
-    def count_separable(f, p):
+    A step takes f = q g + e mod m^2 and then g from mod m to m^2; t = q^-1
+    comes mod p from ``_inverse``, then mod each later m from one Newton step.
+    """
+    g_moduli, t_moduli = [], []
+    divmod_, inverse, newton = polyfactor._divmod, polyfactor._inverse, polyfactor._newton_inverse
+
+    def count_divmod(a, b, m):
+        if a == f:
+            g_moduli.append(m)
+        return divmod_(a, b, m)
+
+    def count_inverse(a, g, p):
+        t_moduli.append(p)
+        return inverse(a, g, p)
+
+    def count_newton(t, q, g, m):
+        t_moduli.append(m)
+        return newton(t, q, g, m)
+
+    monkeypatch.setattr(polyfactor, "_divmod", count_divmod)
+    monkeypatch.setattr(polyfactor, "_inverse", count_inverse)
+    monkeypatch.setattr(polyfactor, "_newton_inverse", count_newton)
+    return g_moduli, t_moduli
+
+
+def _count_primes_tested(monkeypatch):
+    """The list of primes each later separability test is called with."""
+    primes_tested = []
+    separable_mod = polyfactor._separable_mod
+
+    def count(f, p):
         primes_tested.append(p)
         return separable_mod(f, p)
 
-    def count_factors(f, g, h, s, t, m):
-        factor_moduli.append(m)
-        return lift_factors(f, g, h, s, t, m)
+    monkeypatch.setattr(polyfactor, "_separable_mod", count)
+    return primes_tested
 
-    def count_bezout(g, h, s, t, m):
-        bezout_moduli.append(m)
-        return lift_bezout(g, h, s, t, m)
 
-    monkeypatch.setattr(polyfactor, "_separable_mod", count_separable)
-    monkeypatch.setattr(polyfactor, "_hensel_factors", count_factors)
-    monkeypatch.setattr(polyfactor, "_hensel_bezout", count_bezout)
+def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
+    primes_tested = _count_primes_tested(monkeypatch)
+    g_moduli, t_moduli = _count_lifts(monkeypatch, [-1, 0, 0, 0, 0, 0, 0, 0, 1])
     polyfactor.factor.cache_clear()
     try:
         # squarefree mod 3, its first prime, and split there into more factors than over Q
@@ -210,10 +235,10 @@ def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
         polyfactor.factor.cache_clear()
     # the squarefree test of factor() chose the prime; _factor_squarefree reused it
     assert primes_tested == [3]
-    # every lifting node lifts its factors to the top modulus, and its s, t one step short
-    top = max(factor_moduli)
-    assert top not in bezout_moduli
-    assert sorted(bezout_moduli) == sorted(m for m in factor_moduli if m != top)
+    # t - 1, t + 1, t^2 + 1 and t^4 + 1 = (t^2 + t + 2)(t^2 + 2t + 2) mod 3 each
+    # lift g up to the top modulus 3^4, and the Bezout cofactor t one step short
+    assert g_moduli == [3 ** 2, 3 ** 4] * 5
+    assert t_moduli == [3, 3 ** 2] * 5
 
     # t^2 + t + 1 = (t - 1)^2 mod 3 is separable mod 5, so Yun is never entered
     primes_tested.clear()
@@ -228,34 +253,75 @@ def test_no_prime_test_or_bezout_lift_is_repeated(monkeypatch):
     assert entered == []
 
 
+_G3, _G5 = [58, 69, 25, 5], [-97, -5, -22, -63, 74, 4]
+
+
 def test_lift_stops_at_the_small_side_mignotte_bound(monkeypatch):
     # mod 3 the factors have degrees 1, 2 and 5, so no recombined factor has
     # degree above 3, and the bound has C(3, 1) = 3 where 2^8 stood before
-    g3, g5 = [58, 69, 25, 5], [-97, -5, -22, -63, 74, 4]
-    f = polyfactor._mul(g3, g5)
-    lift_factors, recombine = polyfactor._hensel_factors, polyfactor._recombine
-    factor_moduli, recombined = [], []
-
-    def count_factors(f, g, h, s, t, m):
-        factor_moduli.append(m)
-        return lift_factors(f, g, h, s, t, m)
+    f = polyfactor._mul(_G3, _G5)
+    g_moduli, t_moduli = _count_lifts(monkeypatch, f)
+    recombined = []
+    recombine = polyfactor._recombine
 
     def record(f, lifted, m):
         recombined.append((sorted(len(u) - 1 for u in lifted), m))
         return recombine(f, lifted, m)
 
-    monkeypatch.setattr(polyfactor, "_hensel_factors", count_factors)
     monkeypatch.setattr(polyfactor, "_recombine", record)
     polyfactor.factor.cache_clear()
     try:
-        assert polyfactor.factor(tuple(f)) == ((tuple(g3), 1), (tuple(g5), 1))
+        assert polyfactor.factor(tuple(f)) == ((tuple(_G3), 1), (tuple(_G5), 1))
     finally:
         polyfactor.factor.cache_clear()
     norm = math.isqrt(sum(c * c for c in f)) + 1
     assert 3 ** 8 <= 2 * 20 * 3 * norm < 3 ** 16 <= 2 * 20 * 2 ** 8 * norm
-    assert recombined == [([1, 2, 5], 3 ** 16)]
-    # both lifting nodes square their modulus from 3 up to the top, 3^8 -> 3^16
-    assert sorted(factor_moduli) == sorted([3, 3 ** 2, 3 ** 4, 3 ** 8] * 2)
+    # the degree-5 factor is in no subset of at most half the degree: not lifted
+    assert recombined == [([1, 2], 3 ** 16)]
+    # both lifted factors square their modulus from 3 up to the top, 3^8 -> 3^16,
+    # and t one step short, from 3 to 3^8
+    assert g_moduli == [3 ** 2, 3 ** 4, 3 ** 8, 3 ** 16] * 2
+    assert t_moduli == [3, 3 ** 2, 3 ** 4, 3 ** 8] * 2
+
+
+def test_a_wrong_lift_fails_its_check_instead_of_leaving_f_irreducible(monkeypatch):
+    # t stays q^-1 mod (g, 3) only, so g is wrong mod 3^4 on
+    monkeypatch.setattr(polyfactor, "_newton_inverse", lambda t, q, g, m: t)
+    polyfactor.factor.cache_clear()
+    try:
+        with pytest.raises(CheckFailed, match=r"a degree-\d lift does not divide f mod 3\^16"):
+            polyfactor.factor(tuple(polyfactor._mul(_G3, _G5)))
+    finally:
+        polyfactor.factor.cache_clear()
+
+
+_SMALL_FACTOR = st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SMALL_FACTOR, min_size=1, max_size=3), st.integers(0, 4))
+def test_per_factor_lifts_equal_the_tree_lifts(pieces, steps):
+    f = polyfactor._primitive(functools.reduce(polyfactor._mul, pieces))
+    p = next((p for p in _ODD_PRIMES_TO_113 if polyfactor._separable_mod(f, p)), None)
+    assume(p is not None)
+    monic = polyfactor._monic(polyfactor._trim(f, p), p)
+    rng = random.Random(0)
+    modular = [u for g, d in polyfactor._distinct_degree(monic, p)
+               for u in polyfactor._equal_degree(g, d, p, rng)]
+    # every modular factor, also those of more than half the degree
+    lifts = [polyfactor._lift(f, u, p, steps) for u in modular]
+    assert lifts == tree_hensel_lift(f, modular, p, steps)
+
+
+def test_a_squarefree_f_handed_back_by_yun_skips_the_certifying_primes(monkeypatch):
+    # t^2 + 105 = t^2 mod 3, 5 and 7, so it goes through Yun, whose only part is itself
+    primes_tested = _count_primes_tested(monkeypatch)
+    polyfactor.factor.cache_clear()
+    try:
+        assert polyfactor.factor((105, 0, 1)) == (((105, 0, 1), 1),)
+    finally:
+        polyfactor.factor.cache_clear()
+    assert primes_tested == [3, 5, 7, 11]
 
 
 # -- the gcd over Z and its certificate mod small primes -----------------------------
@@ -311,6 +377,14 @@ def test_a_pair_coprime_over_q_but_not_mod_3_5_or_7_runs_the_prs(monkeypatch):
     assert runs == [([0, 1], [105, 1])]
 
 
+def test_the_gcd_with_zero_is_the_primitive_part_with_no_prime_tried(monkeypatch):
+    runs, gcds = _count_prs(monkeypatch), []
+    gcd = polyfactor._gcd
+    monkeypatch.setattr(polyfactor, "_gcd", lambda a, b, p: gcds.append(p) or gcd(a, b, p))
+    assert polyfactor._gcd_z([-6, 0, -4], []) == [3, 0, 2]
+    assert runs == [] and gcds == []
+
+
 def test_a_warm_pass_runs_at_most_five_prs(monkeypatch):
     assert all(r.passed for r in verify.run_all(0))
     runs = _count_prs(monkeypatch)
@@ -327,6 +401,24 @@ def test_yun_decomposition():
     assert polyfactor.squarefree_decomposition(f) == [([1, 0, 1], 2), ([-1, 1], 3)]
     assert polyfactor.squarefree_decomposition([7]) == []
     assert squarefree_part(FIXED["repeated"]) == _product([1, 0, 1], [-1, 1])
+
+
+def test_yun_fails_instead_of_spinning_on_a_wrong_gcd(monkeypatch):
+    # a gcd of 1 for every pair never splits (t - 1)^2: b would keep its degree forever
+    monkeypatch.setattr(polyfactor, "_gcd_z", lambda a, b: [1])
+    raised = []
+
+    def run():
+        try:
+            polyfactor.squarefree_decomposition([1, -2, 1])
+        except CheckFailed as e:
+            raised.append(e)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(1)
+    assert not worker.is_alive()
+    assert len(raised) == 1 and "degree 2" in str(raised[0])
 
 
 def test_memo_is_keyed_on_the_primitive_form():
