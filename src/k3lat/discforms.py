@@ -18,14 +18,15 @@ img_i of the generator images alone: it builds x -> sum_i x_i img_i one
 coordinate at a time, in ``elements()`` order, so each partial sum is shared by
 all the elements that extend it, then reduces every sum and checks q on it.
 
-``discriminant_form`` and ``lattice_fingerprint`` are memoized on the Gram
-matrix (``Lattice`` compares Grams only): their values are immutable, so
-callers share them, and an error is raised afresh on every call.
-``orbits_under_generators`` reads its generator entries as ints and is
-memoized on the form (by identity: a form is never changed, and
-``discriminant_form`` hands out one per Gram) and those integer matrices, so
-a hit is the partition of the same group under the same matrices; each call
-returns new lists.  The memo keeps 4 partitions; a verify-paper pass asks for 1.
+``discriminant_form`` and ``lattice_fingerprint`` keep their values in the
+record of the lattice's Gram (``lattice.per_gram``): the values are
+immutable, so every lattice with that Gram shares them, and an error is
+raised afresh on every call.  ``orbits_under_generators`` reads its generator
+entries as ints and is memoized on the form (by identity: a form is never
+changed, and ``discriminant_form`` hands out one per Gram) and those integer
+matrices, so a hit is the partition of the same group under the same
+matrices; each call returns new lists.  The memo keeps 4 partitions; a
+verify-paper pass asks for 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from types import MappingProxyType
 
 from .errors import BadInputError, OddLatticeError, UnsupportedError, require
 from . import linalg
-from .lattice import Lattice, direct_sum, hyperbolic_plane
+from .lattice import Lattice, direct_sum, hyperbolic_plane, per_gram
 
 #: elements of A_M are canonical residue tuples against the invariant factors
 DiscElement = tuple[int, ...]
@@ -60,7 +61,7 @@ class FiniteQuadraticForm:
     vector w has residue (row . G w) mod d_i, as the nontrivial rows of U in
     the Smith form U*G*V = D give; g_i = (column i of V) / d_i has the exact
     denominator d_i, since that column is primitive.  Everything set here is a
-    tuple, since the memo of ``discriminant_form`` shares one form between
+    tuple, since ``discriminant_form`` shares one form per Gram between
     callers.
     """
 
@@ -220,12 +221,11 @@ class FiniteQuadraticForm:
         return f"<FiniteQuadraticForm {shape}>"
 
 
-# about 33 distinct Grams per verify-paper pass, so a pass never evicts its own
-@functools.lru_cache(maxsize=64)
+@per_gram
 def discriminant_form(lattice: Lattice) -> FiniteQuadraticForm:
     """Discriminant form of an even nondegenerate lattice via Smith normal form.
 
-    The Gram is eliminated outside the Smith memo: this memo keeps the form.
+    The Gram is eliminated outside the Smith memo: the Gram's record keeps the form.
     """
     if not lattice.is_even:
         raise OddLatticeError("discriminant quadratic form needs an even lattice")
@@ -444,8 +444,7 @@ class Fingerprint:
     q_histogram: tuple[tuple[str, int], ...]
 
 
-# about 12 distinct Grams per verify-paper pass
-@functools.lru_cache(maxsize=32)
+@per_gram
 def lattice_fingerprint(lattice: Lattice) -> Fingerprint:
     """(rank, signature, det, parity, disc invariant factors, q histogram)."""
     if lattice.rank == 0:

@@ -280,11 +280,18 @@ ADDITIVE = "additive/unsupported"
 
 @dataclass(frozen=True)
 class FiberPlace:
-    location: str  # irreducible polynomial (as text) or "infinity"
-    factor: RatPoly | None
-    degree: int
+    factor: RatPoly | None  # the irreducible polynomial of the place, None at infinity
     order: int
     kodaira: str
+
+    @property
+    def location(self) -> str:
+        """The factor as text, or "infinity"; rendered on request only."""
+        return "infinity" if self.factor is None else str(self.factor)
+
+    @property
+    def degree(self) -> int:
+        return 1 if self.factor is None else self.factor.degree
 
     @property
     def is_multiplicative(self) -> bool:
@@ -342,12 +349,12 @@ def fiber_configuration(f: WeierstrassFibration) -> FiberReport:
     for factor in sorted(on_b.keys() | on_c.keys(), key=lambda p: (p.degree, p.coeffs)):
         order = 2 * on_b.get(factor, 0) + on_c.get(factor, 0)
         kodaira = ADDITIVE if factor in on_b and factor in on_c else f"I{order}"
-        places.append(FiberPlace(str(factor), factor, factor.degree, order, kodaira))
+        places.append(FiberPlace(factor, order, kodaira))
     m_inf = 24 - 2 * f.b.degree - f.c.degree
     if m_inf > 0:
         additive = f.a.degree < A_DEGREE and f.b.degree < B_DEGREE
         kodaira = ADDITIVE if additive else f"I{m_inf}"
-        places.append(FiberPlace("infinity", None, 1, m_inf, kodaira))
+        places.append(FiberPlace(None, m_inf, kodaira))
     report = FiberReport(places)
     total = report.order_sum()
     require(total == 24, f"fiber orders of the {len(places)} places sum to {total}, not 24")
@@ -436,7 +443,7 @@ def torsion_section_translation_data(f: WeierstrassFibration) -> TorsionSectionR
     report = fiber_configuration(f)
     if not report.all_multiplicative:
         raise UnsupportedError("configuration has additive places")
-    if any(p.location == "infinity" for p in report.places):
+    if any(p.factor is None for p in report.places):
         raise UnsupportedError("expected a good fiber at infinity for the generic shape")
     if report.weight("I2") != 8 or report.weight("I1") != 8:
         raise UnsupportedError("expected the generic 8 x I_2 + 8 x I_1 shape")

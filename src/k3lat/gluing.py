@@ -8,9 +8,9 @@ diagonal overlattice of N + N (a copy of Gamma16(-1) not generated by its
 roots), together with the explicit half-integer embedding of N + N into the
 coordinate model of Gamma16(-1).  A claim fails where it is computed: ``glue``
 and the embedding raise CheckFailed (``errors.require``) when one does not
-hold, and return only data.  ``glue`` is memoized on its whole input (the base
-Gram, labels and name, and the glue vectors); an Overlattice is immutable, so
-callers share it, and an error is raised afresh on every call.
+hold, and return only data.  ``glue`` is memoized on its input, the base and
+the glue vectors; an Overlattice is immutable, so callers share it, and an
+error is raised afresh on every call.
 """
 
 from __future__ import annotations
@@ -36,27 +36,15 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GlueData:
     """A base lattice plus rational glue vectors whose classes generate H.
 
-    Each glue vector v is kept as (den, den * v) on ints, den least.  Two
-    GlueData are equal when the bases agree in Gram, labels and name (a
-    Lattice compares Grams only) and the glue vectors agree, so the memo of
-    ``glue`` hands every caller an Overlattice whose base equals its own.
+    Each glue vector v is kept as (den, den * v) on ints, den least.
     """
 
     base: Lattice
     glue_vectors: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def _key(self):
-        return self.base.gram, self.base.labels, self.base.name, self.glue_vectors
-
-    def __eq__(self, other):
-        return isinstance(other, GlueData) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @staticmethod
     def of(base: Lattice, vectors) -> "GlueData":

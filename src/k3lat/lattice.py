@@ -2,13 +2,13 @@
 
 A lattice is a free Z-module of finite rank with a symmetric integer Gram
 matrix.  All invariants (determinant, signature, parity) are computed exactly.
-One fraction-free symmetric elimination of the Gram matrix
-(``linalg.signature_of_symmetric``) gives both the determinant and the
-signature, and it runs once per distinct Gram: ``Lattice`` reads the triple
-(pos, neg, det) from a bounded memo keyed on the Gram.  The memo keeps no
-pivot rows and no errors, so a degenerate Gram raises on every call.  A Gram
-of rank past ``_RANK_BOUND`` raises UnsupportedError before it is eliminated,
-which also bounds each memo key.  Short-vector enumeration is Fincke-Pohst:
+What is derived from a Gram is kept in that Gram's one record, from the
+bounded table ``_gram_facts``: (pos, neg, det) from one fraction-free
+elimination (``linalg.signature_of_symmetric``), then the value of each
+``per_gram`` function, such as the discriminant form.  No pivot row and no
+error is kept, so a degenerate Gram raises on every call.  A Gram of rank past
+``_RANK_BOUND`` raises UnsupportedError before it is eliminated, which also
+bounds each key.  Short-vector enumeration is Fincke-Pohst:
 the same elimination of the positive definite -gram writes the norm as a sum
 of integer squares over integer weights, which bounds each coordinate through
 integer square roots and integer floor/ceil, so results are complete and
@@ -19,11 +19,12 @@ on the rank and the deduplicated integer rows its Hermite normal form reads.
 The memos keep 8 searches and 4 indices; a verify-paper pass repeats 5 and 3.
 
 Values are immutable after construction (assigning an attribute raises
-AttributeError) and every operation is pure, so concurrent reads are safe and
-callers may share one instance.  Each standard constructor scales its Gram by
-the twist, by the rule ``Lattice.twist`` follows, and builds one ``Lattice``.
-The standard constructors and ``direct_sum`` are memoized, so a process
-builds each standard lattice and each direct sum once.
+AttributeError), equal when their Gram, labels and name are, and every
+operation is pure, so callers may share one instance.  Each standard
+constructor scales its Gram by the twist, by the rule ``Lattice.twist``
+follows, and builds one ``Lattice``.  The standard constructors and
+``direct_sum`` are memoized, so a process builds each standard lattice and
+each direct sum once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -61,16 +63,32 @@ class Signature:
 _RANK_BOUND = 64
 
 
-# about 83 distinct Grams per verify-paper pass, so a pass never evicts its own
+# 84 distinct Grams per verify-paper pass, so a pass never evicts its own
 @functools.lru_cache(maxsize=256)
-def _gram_invariants(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int, int]:
-    """(pos, neg, det) of a validated symmetric Gram, from one elimination.
+def _gram_facts(gram: tuple[tuple[int, ...], ...]) -> dict:
+    """The one record of a validated symmetric Gram's facts; ``per_gram`` adds to it.
 
-    Only this triple is memoized, never the pivot rows.  ``lru_cache`` keeps
-    no exception, so a degenerate Gram raises on every call.
+    It starts with "invariants", (pos, neg, det) from one elimination.
+    ``lru_cache`` keeps no exception, so a degenerate Gram raises on every call.
     """
     pos, neg, pivots = linalg.signature_of_symmetric(gram)
-    return pos, neg, pivots[-1][0] if pivots else 1
+    return {"invariants": (pos, neg, pivots[-1][0] if pivots else 1)}
+
+
+def per_gram(build):
+    """``build(lattice)`` run once per distinct Gram, its value kept in that Gram's record.
+
+    The record is looked up by ``lattice.gram`` on every call, so the table
+    alone bounds what is kept.  An exception is never kept.
+    """
+    @functools.wraps(build)
+    def fact(lattice):
+        record = _gram_facts(lattice.gram)
+        if build not in record:
+            record[build] = build(lattice)
+        return record[build]
+
+    return fact
 
 
 class Lattice:
@@ -91,7 +109,7 @@ class Lattice:
             raise UnsupportedError(f"a rank-{n} gram matrix is past the rank bound {_RANK_BOUND}")
         gram = tuple(tuple(row) for row in rows)
         try:
-            pos, neg, det = _gram_invariants(gram)
+            pos, neg, det = _gram_facts(gram)["invariants"]
         except DegenerateGramError as exc:
             raise DegenerateGramError("gram matrix is degenerate") from exc
         if labels is not None:
@@ -160,10 +178,11 @@ class Lattice:
         return cls(data["gram"], data.get("labels"), data.get("name"))
 
     def __eq__(self, other):
-        return isinstance(other, Lattice) and self.gram == other.gram
+        return isinstance(other, Lattice) and (self.gram, self.labels, self.name) == (
+            other.gram, other.labels, other.name)
 
     def __hash__(self):
-        return hash(self.gram)
+        return hash((self.gram, self.labels, self.name))
 
     def __repr__(self):
         tag = self.name or f"rank-{self.rank} lattice"
@@ -393,45 +412,33 @@ def standard_lattice(kind: str, twist: int = 1, param: int | None = None) -> Lat
 
 
 def direct_sum(parts, name=None) -> Lattice:
-    """Block-diagonal sum; basis labels get disambiguating suffixes.
-
-    Memoized on each part's (gram, labels, name) and ``name``, never on the
-    parts themselves: a ``Lattice`` compares and hashes its Gram only, so
-    parts with one Gram and other labels would share a cached sum.
-    """
-    return _direct_sum_of(tuple((p.gram, p.labels, p.name) for p in parts), name)
+    """Block-diagonal sum; basis labels get disambiguating suffixes."""
+    return _direct_sum_of(tuple(parts), name)
 
 
 @_memoized
-def _direct_sum_of(blocks, name) -> Lattice:
-    """``direct_sum`` of the parts given as (gram, labels, name) triples."""
-    if not blocks:
+def _direct_sum_of(parts: tuple[Lattice, ...], name) -> Lattice:
+    if not parts:
         raise BadInputError("direct sum of an empty list")
-    total = sum(len(gram) for gram, _, _ in blocks)
+    total = sum(p.rank for p in parts)
     g = [[0] * total for _ in range(total)]
     off = 0
     raw_labels = []
-    for gram, block_labels, _ in blocks:
-        rank = len(gram)
+    for part in parts:
+        rank = part.rank
         for i in range(rank):
-            g[off + i][off:off + rank] = gram[i]
-        raw_labels.append(list(block_labels) if block_labels else [f"b{off + i + 1}" for i in range(rank)])
+            g[off + i][off:off + rank] = part.gram[i]
+        raw_labels += part.labels or [f"b{off + i + 1}" for i in range(rank)]
         off += rank
-    counts: dict[str, int] = {}
-    for block in raw_labels:
-        for lab in block:
-            counts[lab] = counts.get(lab, 0) + 1
-    seen: dict[str, int] = {}
+    counts, seen = Counter(raw_labels), Counter()
     labels = []
-    for block in raw_labels:
-        for lab in block:
-            if counts[lab] > 1:
-                seen[lab] = seen.get(lab, 0) + 1
-                labels.append(f"{lab}{seen[lab]}")
-            else:
-                labels.append(lab)
+    for lab in raw_labels:
+        if counts[lab] > 1:
+            seen[lab] += 1
+            lab = f"{lab}{seen[lab]}"
+        labels.append(lab)
     if name is None:
-        name = " + ".join(block_name or "?" for _, _, block_name in blocks)
+        name = " + ".join(p.name or "?" for p in parts)
     return Lattice(g, labels, name)
 
 

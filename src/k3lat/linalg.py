@@ -251,8 +251,8 @@ def smith_normal_form(mat, keep=True):
     u and v are unimodular; d is diagonal with nonnegative entries forming a
     divisibility chain d_1 | d_2 | ...  The elimination is memoized on the
     integer rows of mat (``_smith``), so a matrix is eliminated once; a caller
-    with a memo of its own (``discriminant_form``) passes keep=False, which
-    eliminates without filling this one.  Each call returns new lists, which
+    whose result is kept elsewhere (``discriminant_form``, in the Gram's record)
+    passes keep=False, which eliminates without filling this memo.  Each call returns new lists, which
     the caller may change.
     """
     smith = _smith if keep else _smith.__wrapped__

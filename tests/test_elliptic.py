@@ -24,7 +24,7 @@ from k3lat import (
     torsion_section_translation_data,
     two_isogeny_quotient,
 )
-from k3lat import elliptic
+from k3lat import elliptic, verify
 from k3lat.elliptic import (
     ADDITIVE,
     _cycle_gram,
@@ -268,6 +268,19 @@ def test_double_quotient_scaling_identity():
     assert [
         (p.location, p.order, p.kodaira) for p in fiber_configuration(double).places
     ] == [(p.location, p.order, p.kodaira) for p in fiber_configuration(fib).places]
+
+
+def test_the_fiber_checks_render_no_place_as_text(monkeypatch):
+    # a place keeps its factor; only output (JSON, failure messages) renders it
+    rendered = []
+    to_text = RatPoly.__str__
+    monkeypatch.setattr(RatPoly, "__str__", lambda p: rendered.append(p.coeffs) or to_text(p))
+    verify.check_generic_family(verify.DEFAULT_SEED)
+    verify.check_sixteen_gon_family(verify.DEFAULT_SEED)
+    assert rendered == []
+    report = fiber_configuration(WeierstrassFibration(RatPoly([1, 0, 0, 0, 1]), RatPoly([1])))
+    assert [p["location"] for p in report.to_json()["places"]][-2:] == ["t^4 + 3", "infinity"]
+    assert [p.degree for p in report.places] == [1, 1, 2, 4, 1]
 
 
 def _oracle_places(fib):

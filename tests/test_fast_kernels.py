@@ -127,7 +127,7 @@ def test_equal_grams_are_eliminated_once_and_errors_are_never_cached(monkeypatch
         return eliminate(gram)
 
     monkeypatch.setattr(linalg, "signature_of_symmetric", counting)
-    lattice._gram_invariants.cache_clear()
+    lattice._gram_facts.cache_clear()
     gram = [[-2, 1], [1, -4]]
     first, second = Lattice(gram), Lattice([list(row) for row in gram], name="again")
     assert len(calls) == 1

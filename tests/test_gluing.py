@@ -74,11 +74,11 @@ def test_trivial_glue_returns_base():
 
 
 def test_glue_memo_gives_each_caller_its_own_base():
-    # Lattice compares Grams only; the memo of glue also keys on labels and name
+    # one Gram, other labels or names: the memo of glue must not share their overlattices
     gram = hyperbolic_plane(2).gram
     bases = [Lattice(gram, ("e", "f"), "one"), Lattice(gram, ("e", "f"), "two"),
              Lattice(gram, ("x", "y"), "one")]
-    assert bases[0] == bases[1] == bases[2]
+    assert bases[0] != bases[1] != bases[2] != bases[0]
     vectors = [[F(1, 2), 0]]
     overs = [glue(GlueData.of(base, vectors)) for base in bases]
     for base, over in zip(bases, overs):

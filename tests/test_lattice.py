@@ -187,9 +187,9 @@ def test_refused_constructor_raises_on_every_call(call, error):
 
 
 def test_direct_sum_memo_keys_on_labels_and_names():
-    # a Lattice compares Grams only; the memo must not hand one part's labels to another
+    # one Gram, other labels and names: the memo must not hand one part's labels to another
     x, y, bare = Lattice([[2]], ["x"], "X"), Lattice([[2]], ["y"], "Y"), Lattice([[2]])
-    assert x == y == bare
+    assert x != y != bare != x
     assert direct_sum([x, x]).labels == ("x1", "x2") and direct_sum([x, x]).name == "X + X"
     assert direct_sum([y, y]).labels == ("y1", "y2") and direct_sum([y, y]).name == "Y + Y"
     assert direct_sum([bare, bare]).labels == ("b1", "b2") and direct_sum([bare, bare]).name == "? + ?"

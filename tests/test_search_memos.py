@@ -1,10 +1,12 @@
-"""The memos of the short-vector search, the orbit partition, the span index and the Smith form.
+"""The memos of the short-vector search, the orbit partition, the span index and the Smith form,
+and the one record of facts per Gram.
 
 Each memo sits behind a public function that validates its input and keys
 the memo on the validated data only.  A hit must equal a cold result, a
 caller may change what it was handed, and a refused input raises on every
 call, also after the same valid input was cached.  A search result too
-large to keep is returned without being kept.
+large to keep is returned without being kept.  Lattices with one Gram share
+that Gram's record, whatever their labels and names.
 """
 
 import copy
@@ -12,16 +14,20 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lat import (
     BadInputError,
     Lattice,
+    OddLatticeError,
     UnsupportedError,
     discriminant_form,
     e8,
     e8_simple_reflections,
     enumerate_vectors_of_norm,
     hyperbolic_plane,
+    lattice_fingerprint,
     nikulin,
     nikulin_node_coords,
     orbits_under_generators,
@@ -137,8 +143,8 @@ def test_a_second_pass_runs_no_smith_elimination(monkeypatch):
 
 
 def test_discriminant_forms_are_eliminated_outside_the_smith_memo(monkeypatch):
-    # discriminant_form keeps its own memo on the Gram, so the Smith memo keeps
-    # only the kernel and invariant-factor matrices
+    # the record of each Gram keeps its discriminant form, so the Smith memo
+    # keeps only the kernel and invariant-factor matrices
     asked = set()
     original = discforms.discriminant_form
 
@@ -148,7 +154,7 @@ def test_discriminant_forms_are_eliminated_outside_the_smith_memo(monkeypatch):
 
     for module in (discforms, gluing, verify):
         monkeypatch.setattr(module, "discriminant_form", recording)
-    for memo in (original, discforms.lattice_fingerprint, gluing.glue, linalg._smith):
+    for memo in (lattice._gram_facts, gluing.glue, linalg._smith):
         memo.cache_clear()
     assert all(r.passed for r in verify.run_all(DEFAULT_SEED))
     assert asked
@@ -244,3 +250,55 @@ def test_a_warm_pass_runs_no_search_index_or_induced_action(monkeypatch):
     assert all(r.passed for r in verify.run_all(DEFAULT_SEED + 1))
     assert [memo.cache_info().misses for _, memo, _ in MEMOS.values()] == misses
     assert calls == Counter()
+
+
+def test_a_warm_pass_builds_no_form_fingerprint_or_elimination(monkeypatch):
+    assert all(r.passed for r in verify.run_all(DEFAULT_SEED))
+    built = Counter()
+    for cls in (discforms.FiniteQuadraticForm, discforms.Fingerprint):
+        def counting(self, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    eliminate = linalg.signature_of_symmetric
+    monkeypatch.setattr(linalg, "signature_of_symmetric",
+                        lambda gram: built.update(["elimination"]) or eliminate(gram))
+    assert all(r.passed for r in verify.run_all(DEFAULT_SEED + 1))
+    assert built == Counter()
+
+
+def test_an_odd_lattice_is_refused_on_every_call_and_leaves_its_record_as_it_was():
+    odd = Lattice([[1, 1], [1, -4]], ["x", "y"], "odd")
+    record = lattice._gram_facts(odd.gram)
+    kept = dict(record)
+    for _ in range(3):
+        with pytest.raises(OddLatticeError, match="needs an even lattice"):
+            discriminant_form(odd)
+        assert lattice._gram_facts(odd.gram) is record and record == kept
+
+
+@st.composite
+def _even_grams(draw):
+    # strictly diagonally dominant, so nondegenerate; even on the diagonal
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    for i in range(n):
+        size = sum(abs(x) for x in g[i]) + draw(st.integers(0, 3))
+        g[i][i] = draw(st.sampled_from([1, -1])) * 2 * (size // 2 + 1)
+    return g
+
+
+@given(_even_grams(), st.sampled_from([("labels",), ("name",), ("labels", "name")]))
+@settings(max_examples=40, deadline=None)
+def test_lattices_with_one_gram_are_unequal_but_share_their_facts(gram, differ):
+    n = len(gram)
+    first = Lattice(gram, [f"x{i}" for i in range(n)], "first")
+    second = Lattice(gram, [f"y{i}" for i in range(n)] if "labels" in differ else first.labels,
+                     "second" if "name" in differ else first.name)
+    assert first != second and first.gram == second.gram
+    assert discriminant_form(second) is discriminant_form(first)
+    assert lattice_fingerprint(second) is lattice_fingerprint(first)
