@@ -18,15 +18,13 @@ img_i of the generator images alone: it builds x -> sum_i x_i img_i one
 coordinate at a time, in ``elements()`` order, so each partial sum is shared by
 all the elements that extend it, then reduces every sum and checks q on it.
 
-``discriminant_form`` and ``lattice_fingerprint`` keep their values in the
-record of the lattice's Gram (``lattice.per_gram``): the values are
-immutable, so every lattice with that Gram shares them, and an error is
-raised afresh on every call.  ``orbits_under_generators`` reads its generator
-entries as ints and is memoized on the form (by identity: a form is never
-changed, and ``discriminant_form`` hands out one per Gram) and those integer
-matrices, so a hit is the partition of the same group under the same
-matrices; each call returns new lists.  The memo keeps 4 partitions; a
-verify-paper pass asks for 1.
+A memo keys on validated values and hands out the immutable value it keeps;
+an error is raised afresh on every call.  ``discriminant_form`` and
+``lattice_fingerprint`` keep their values in the record of the lattice's Gram
+(``lattice.per_gram``), so every lattice with that Gram shares them.
+``orbits_under_generators`` reads its generator entries as ints and keys on
+them and the parent's Gram, whose ``discriminant_form`` is the form; the memo
+keeps 4 partitions, and a verify-paper pass asks for 1.
 """
 
 from __future__ import annotations
@@ -94,18 +92,18 @@ class FiniteQuadraticForm:
         return (0,) * len(self.invariant_factors)
 
     def reduce(self, coeffs) -> DiscElement:
+        coeffs = linalg.exact_ints(coeffs, "element coordinates")
         if len(coeffs) != len(self.invariant_factors):
             raise BadInputError(f"element {tuple(coeffs)} does not lie in {self}")
-        return tuple(int(c) % d for c, d in zip(coeffs, self.invariant_factors))
+        return tuple(c % d for c, d in zip(coeffs, self.invariant_factors))
 
     def add(self, x: DiscElement, y: DiscElement) -> DiscElement:
-        factors = self.invariant_factors
-        if not len(x) == len(y) == len(factors):
-            raise BadInputError(f"elements {tuple(x)}, {tuple(y)} do not both lie in {self}")
-        return tuple((a + b) % d for a, b, d in zip(x, y, factors))
+        x, y = self.reduce(x), self.reduce(y)
+        return tuple(map(operator.mod, map(operator.add, x, y), self.invariant_factors))
 
     def scale(self, n: int, x: DiscElement) -> DiscElement:
-        return self.reduce([n * a for a in x])
+        (n,) = linalg.exact_ints([n], "multipliers")
+        return self.reduce([n * a for a in self.reduce(x)])
 
     def elements(self):
         """All elements in lexicographic residue order."""
@@ -141,11 +139,11 @@ class FiniteQuadraticForm:
 
     def q(self, x: DiscElement) -> Fraction:
         """Quadratic form value in Q/2Z, reduced into [0, 2)."""
-        return Fraction(self.q_numerator(x), self.denominator)
+        return Fraction(self.q_numerator(self.reduce(x)), self.denominator)
 
     def b(self, x: DiscElement, y: DiscElement) -> Fraction:
         """Bilinear form value in Q/Z, reduced into [0, 1)."""
-        return Fraction(self.b_numerator(x, y), self.denominator)
+        return Fraction(self.b_numerator(self.reduce(x), self.reduce(y)), self.denominator)
 
     def q_numerator(self, x: DiscElement) -> int:
         """q(x) * denominator, reduced into [0, 2 * denominator)."""
@@ -285,12 +283,13 @@ class IsotropicSubgroup:
 def _closure(form: FiniteQuadraticForm, gens) -> frozenset:
     elems = {form.zero()}
     gens = [form.reduce(g) for g in gens]
+    factors = form.invariant_factors
     changed = True
     while changed:
         changed = False
         for g in gens:
             for e in list(elems):
-                s = form.add(e, g)
+                s = tuple(map(operator.mod, map(operator.add, e, g), factors))  # e + g, unchecked
                 if s not in elems:
                     elems.add(s)
                     changed = True
@@ -383,13 +382,12 @@ def action_on_disc(form: FiniteQuadraticForm, matrix) -> dict[DiscElement, DiscE
     return table
 
 
-def orbits_under_generators(form: FiniteQuadraticForm, generators) -> list[list[DiscElement]]:
+def orbits_under_generators(form: FiniteQuadraticForm, generators) -> tuple[tuple, ...]:
     """Orbit partition of A_M under supplied isometry generators.
 
     Generators are parent-lattice matrices of integers.  Orbits are sorted
-    lists, ordered by (size, first element); the group is never materialized,
-    only the orbit closure.  The partition is memoized (see ``_orbits``);
-    each call returns new lists.
+    tuples, ordered by (size, first element); the group is never materialized,
+    only the orbit closure.
     """
     if form.order > _SUBGROUP_SIZE_BOUND:
         raise UnsupportedError("discriminant group too large for orbit closure")
@@ -397,16 +395,17 @@ def orbits_under_generators(form: FiniteQuadraticForm, generators) -> list[list[
         tuple(tuple(linalg.exact_ints(row, "generator entries")) for row in matrix)
         for matrix in generators
     )
-    return [list(orbit) for orbit in _orbits(form, key)]
+    return _orbits(form.parent.gram, key)
 
 
 # a verify-paper pass asks for 1 partition (W(E8) on A_E8(-2)), so a pass never evicts its own
 @functools.lru_cache(maxsize=4)
-def _orbits(form: FiniteQuadraticForm, generators) -> tuple[tuple[DiscElement, ...], ...]:
-    """The orbit partition; on a miss ``action_on_disc`` checks every generator.
+def _orbits(gram, generators) -> tuple[tuple[DiscElement, ...], ...]:
+    """The partition on ``gram``'s form; on a miss ``action_on_disc`` checks every generator.
 
     ``lru_cache`` keeps no exception, so a refused generator raises on every call.
     """
+    form = discriminant_form(Lattice(gram))
     maps = [action_on_disc(form, g) for g in generators]
     seen = set()
     orbits = []

@@ -12,7 +12,8 @@ bounds each key.  Short-vector enumeration is Fincke-Pohst:
 the same elimination of the positive definite -gram writes the norm as a sum
 of integer squares over integer weights, which bounds each coordinate through
 integer square roots and integer floor/ceil, so results are complete and
-deterministic.  The search is memoized on (Gram, norm) after its checks, with
+deterministic.  A memo keys on validated values and hands out the immutable
+value it keeps.  The search is memoized on (Gram, norm) after its checks, with
 the coordinate terms it summed, so a cached search is still held to the term
 bound in force when it is asked for again; ``sublattice_index`` is memoized
 on the rank and the deduplicated integer rows its Hermite normal form reads.
@@ -148,6 +149,7 @@ class Lattice:
 
     def inner(self, v, w):
         """Bilinear pairing of two coordinate vectors (ints or Fractions)."""
+        v, w = linalg.exact_entries(v), linalg.exact_entries(w)
         if len(v) != self.rank or len(w) != self.rank:
             raise BadInputError("vector length must equal the lattice rank")
         return linalg.dot(v, w, self.gram)
@@ -296,6 +298,7 @@ def nikulin(twist: int = 1) -> Lattice:
 
 def nikulin_node_coords(i: int) -> list[int]:
     """Coordinates of N_i (1 <= i <= 8) in the integral basis {N_1..N_7, Nhat}."""
+    (i,) = linalg.exact_ints([i], "node indices")
     if not 1 <= i <= 8:
         raise BadInputError("node index must be in 1..8")
     if i <= 7:
@@ -459,8 +462,7 @@ def orthogonal_complement(lattice: Lattice, vectors):
         if len(v) != n:
             raise BadInputError("vectors must have the lattice rank as length")
     if not vecs:
-        basis = [list(row) for row in linalg.identity_matrix(n)]
-        return lattice, basis
+        return lattice, linalg.identity_matrix(n)
     pairing = [linalg.mat_vec(lattice.gram, v) for v in vecs]
     kernel = linalg.integer_kernel(pairing)
     if not kernel:
@@ -509,24 +511,17 @@ def _span_index(rank: int, rows: tuple[tuple[int, ...], ...]) -> int:
 _SHORT_VECTOR_TERM_BOUND = 3_000_000
 
 
-def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> list[tuple[int, ...]]:
+def enumerate_vectors_of_norm(lattice: Lattice, norm: int) -> tuple[tuple[int, ...], ...]:
     """All v with v.v = norm in a negative definite lattice, lex ordered.
 
-    norm must be a negative even integer.  The list contains v and -v
+    norm must be a negative even integer.  The tuple contains v and -v
     together; completeness comes from exact Fincke-Pohst style bounds read
     off the fraction-free pivot rows of the positive form -gram, so the
     search runs on ints.  It walks only the half-space whose last nonzero
     coordinate (the first one it sets) is positive and appends the negatives
     before sorting.  A search that would sum more than
     _SHORT_VECTOR_TERM_BOUND coordinate terms raises UnsupportedError.
-    The search is memoized (see ``_vectors_of_norm``); each call returns a
-    new list.
     """
-    return list(_short_vectors(lattice, norm))
-
-
-def _short_vectors(lattice: Lattice, norm) -> tuple[tuple[int, ...], ...]:
-    """``enumerate_vectors_of_norm`` as the memo's shared tuple, after every check."""
     if not lattice.is_negative_definite:
         raise NotDefiniteError("short vector enumeration needs a negative definite lattice")
     try:

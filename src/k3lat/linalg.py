@@ -15,7 +15,8 @@ never a float or "1e3"; ``exact_entries`` reads the lists of ``exact_ints``
 rational vector becomes integers.  Two routines have no
 caller in the package: ``rational_inverse``, the one that works over Q, and
 the general ``bareiss_determinant``; the tests call both as oracles, and
-perfbench's tracer counts their calls.
+perfbench's tracer counts their calls.  A memo keys on validated values and
+hands out the immutable value it keeps, as ``smith_normal_form`` does.
 
 The products (``mat_mul``, ``mat_vec``, ``dot`` with a Gram and
 ``pairing_matrix``) skip zero entries, since the push/pull matrices, the
@@ -249,21 +250,21 @@ def smith_normal_form(mat, keep=True):
     """Smith normal form with transforms: returns (d, u, v) with u*mat*v = d.
 
     u and v are unimodular; d is diagonal with nonnegative entries forming a
-    divisibility chain d_1 | d_2 | ...  The elimination is memoized on the
-    integer rows of mat (``_smith``), so a matrix is eliminated once; a caller
-    whose result is kept elsewhere (``discriminant_form``, in the Gram's record)
-    passes keep=False, which eliminates without filling this memo.  Each call returns new lists, which
-    the caller may change.
+    divisibility chain d_1 | d_2 | ..., each a tuple of row tuples.  The
+    elimination is memoized on the integer rows of mat (``_smith``), so a matrix
+    is eliminated once; a caller whose result is kept elsewhere
+    (``discriminant_form``, in the Gram's record) passes keep=False, which
+    eliminates without filling this memo.
     """
     smith = _smith if keep else _smith.__wrapped__
-    return tuple([list(row) for row in part] for part in smith(tuple(map(tuple, mat))))
+    return smith(tuple(map(tuple, mat)))
 
 
 # a verify-paper pass asks for 10 distinct matrices, cold or warm, so a pass
 # never evicts its own
 @functools.lru_cache(maxsize=64)
 def _smith(mat: tuple[tuple[int, ...], ...]):
-    """``smith_normal_form`` as tuples of rows, the form its memo keeps."""
+    """``smith_normal_form`` on the rows of ``mat``."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     d = [list(row) for row in mat]
@@ -349,7 +350,7 @@ def integer_kernel(mat) -> list[list[int]]:
     if n == 0:
         return []
     if m == 0:
-        return [list(row) for row in identity_matrix(n)]
+        return identity_matrix(n)
     d, _, v = smith_normal_form(mat)
     rank = sum(1 for i in range(min(m, n)) if d[i][i] != 0)
     return [[v[row][col] for row in range(n)] for col in range(rank, n)]

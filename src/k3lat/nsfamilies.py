@@ -25,9 +25,9 @@ from .involution import QuotientCohomology, k3_lattice
 from .lattice import (
     _MODULI_EXAMPLES,
     Lattice,
-    _short_vectors,
     direct_sum,
     e8,
+    enumerate_vectors_of_norm,
     hyperbolic_plane,
     orthogonal_complement,
     rank_one,
@@ -43,13 +43,15 @@ class NSFamilyDescriptor:
     overlattice: Overlattice | None = None
 
 
-def _validate_two_d(two_d: int) -> None:
+def _validate_two_d(two_d: int) -> int:
+    (two_d,) = linalg.exact_ints([two_d], "the polarization degree 2d")
     if two_d <= 0 or two_d % 2 != 0:
         raise BadInputError("the polarization degree 2d must be a positive even integer")
+    return two_d
 
 
 def plain_family(two_d: int) -> NSFamilyDescriptor:
-    _validate_two_d(two_d)
+    two_d = _validate_two_d(two_d)
     lat = direct_sum([rank_one(two_d), e8(-2)], name=f"<{two_d}> + E8(-2)")
     return NSFamilyDescriptor(two_d, "plain", lat)
 
@@ -67,13 +69,13 @@ def canonical_glue_vector(d: int) -> tuple[int, ...]:
     Norm -4 vectors serve d = 4m+2 (v.v = 4 mod 8) and norm -8 vectors serve
     d = 4m (v.v = 0 mod 8).
     """
-    return _short_vectors(e8(-2), -4 if glue_vector_norm_class(d) == 4 else -8)[0]
+    return enumerate_vectors_of_norm(e8(-2), -4 if glue_vector_norm_class(d) == 4 else -8)[0]
 
 
 def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
     """The unique even index-2 overlattice of <2d> + E8(-2) keeping E8(-2) primitive."""
-    base = plain_family(two_d).lattice
-    d = two_d // 2
+    two_d = _validate_two_d(two_d)
+    base, d = plain_family(two_d).lattice, two_d // 2
     if d % 2 != 0:
         raise BadInputError("no index-2 overlattice exists unless d is even (L^2 = 0 mod 4)")
     if v is None:
@@ -96,7 +98,7 @@ def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
 
 def classify_ns(two_d: int) -> list[NSFamilyDescriptor]:
     """The rank-9 lattices with L^2 = 2d: one family for 2d = 2 mod 4, two for 2d = 0 mod 4."""
-    _validate_two_d(two_d)
+    two_d = _validate_two_d(two_d)
     out = [plain_family(two_d)]
     if two_d % 4 == 0:
         out.append(tilde_family(two_d))
@@ -155,6 +157,7 @@ def det_square_class_obstruction(rank_t: int) -> SquareClassReport:
     Not a square exactly when rank_T is odd, in which case no isometry of the
     rational transcendental forms can exist.
     """
+    (rank_t,) = linalg.exact_ints([rank_t], "the rank of the transcendental lattice")
     if not 1 <= rank_t <= 13:
         raise BadInputError("rank of the transcendental lattice must be in 1..13")
     d = 22 - 8 - rank_t
@@ -174,8 +177,7 @@ def polarization(two_d: int, variant: str = "plain") -> list[int]:
     Plain: e_1 + d f_1.  Tilde: (2u', x, x), x the canonical glue vector read
     in E8(-1); its norm class makes u' integral, so (L + (x, -x))/2 is a class.
     """
-    _validate_two_d(two_d)
-    d = two_d // 2
+    d = _validate_two_d(two_d) // 2
     if variant == "plain":
         return [1, d] + [0] * 20
     if variant != "tilde" or d % 2:
@@ -203,6 +205,7 @@ def eigenspace_dimensions(two_d: int, variant: str = "plain") -> EigenspaceRepor
     f- = min(|S|, 8 - |S|) takes the lift with h+ >= h-.  Then h+ + h- = d + 2
     and, by the holomorphic Lefschetz formula, h+ - h- = (f+ - f-)/4.
     """
+    two_d = _validate_two_d(two_d)
     lifted = polarization(two_d, variant) + [0] * 8
     pushed = linalg.mat_vec(QuotientCohomology._build_push(), lifted)
     s = set()
@@ -238,6 +241,7 @@ def count_invariant_monomials(
     of degree d - j in the other n - k, so the count is the sum over j of the
     wanted parity of C(k + j - 1, j) C(n - k + d - j - 1, d - j).
     """
+    num_vars, degree = linalg.exact_ints([num_vars, degree], "variable counts and degrees")
     if degree < 0:
         raise BadInputError("degree must be nonnegative")
     if parity not in ("invariant", "anti_invariant"):

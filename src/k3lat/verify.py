@@ -114,7 +114,7 @@ def check_root_counts() -> dict:
     roots = enumerate_vectors_of_norm(e8(-1), -2)
     require(len(roots) == 240, f"E8(-1) root count {len(roots)} != 240")
     empty = enumerate_vectors_of_norm(e8(-2), -2)
-    require(empty == [], f"E8(-2) contains norm -2 vectors, e.g. {empty[:1]}")
+    require(not empty, f"E8(-2) contains norm -2 vectors, e.g. {empty[:1]}")
     return {"e8_roots": len(roots), "e8_twisted_norm2": len(empty)}
 
 

@@ -38,7 +38,7 @@ from k3lat import (
     nikulin_square_in_gamma16,
     rank_one,
 )
-from k3lat import lattice, linalg, polyfactor
+from k3lat import lattice, linalg, nsfamilies, polyfactor
 from k3lat.discforms import action_on_disc
 from k3lat.elliptic import RatPoly
 from k3lat.lattice import Lattice
@@ -182,7 +182,7 @@ def test_counts_match_theta_coefficients(lat, norm, count):
     # 1 + 480 q + 61920 q^2 + ...
     vectors = enumerate_vectors_of_norm(lat, norm)
     assert len(vectors) == len(set(vectors)) == count
-    assert vectors == sorted(vectors)
+    assert list(vectors) == sorted(vectors)
 
 
 @given(
@@ -208,7 +208,7 @@ def test_random_definite_forms_match_box_enumeration(basis, norm):
         for v in itertools.product(*[range(-t, t + 1) for t in bounds])
         if _pair(v, v, gram) == norm
     )
-    assert enumerate_vectors_of_norm(lat, norm) == expected
+    assert list(enumerate_vectors_of_norm(lat, norm)) == expected
 
 
 class _PastCap(Exception):
@@ -296,7 +296,7 @@ def test_search_matches_the_fraction_cholesky_oracle(basis, norm):
     bound = lattice._SHORT_VECTOR_TERM_BOUND
     try:
         lattice._SHORT_VECTOR_TERM_BOUND = terms
-        assert enumerate_vectors_of_norm(lat, norm) == vectors
+        assert list(enumerate_vectors_of_norm(lat, norm)) == vectors
         lattice._SHORT_VECTOR_TERM_BOUND = terms - 1
         with pytest.raises(UnsupportedError):
             enumerate_vectors_of_norm(lat, norm)
@@ -532,6 +532,53 @@ def test_exact_rational_reads_fraction_text_and_refuses_floats(f, x):
     assert linalg.exact_rational(str(f)) == f
     with pytest.raises(BadInputError, match="float"):
         linalg.exact_rational(x)
+
+
+def _nikulin_form():
+    return discriminant_form(nikulin())
+
+
+_ELEMENT = (1, 0, 0, 0, 0, 0)
+
+#: the public readers of outside numbers past the kernels, each called with
+#: one bad entry; the hot q_numerator, b_numerator and rows are left unchecked
+_OUTSIDE_NUMBER_READERS = {
+    "reduce": lambda bad: _nikulin_form().reduce([bad] * 6),
+    "add": lambda bad: _nikulin_form().add((bad,) + _ELEMENT[1:], _ELEMENT),
+    "scale factor": lambda bad: _nikulin_form().scale(bad, _ELEMENT),
+    "scale element": lambda bad: _nikulin_form().scale(3, (bad,) + _ELEMENT[1:]),
+    "q": lambda bad: _nikulin_form().q((bad,) + _ELEMENT[1:]),
+    "b": lambda bad: _nikulin_form().b(_ELEMENT, (bad,) + _ELEMENT[1:]),
+    "norm": lambda bad: e8(-1).norm([bad] * 8),
+    "inner": lambda bad: e8(-1).inner([1] * 8, [bad] + [0] * 7),
+    "nikulin_node_coords": lattice.nikulin_node_coords,
+    "polarization": nsfamilies.polarization,
+    "eigenspace_dimensions": nsfamilies.eigenspace_dimensions,
+    "plain_family": nsfamilies.plain_family,
+    "tilde_family": nsfamilies.tilde_family,
+    "classify_ns": nsfamilies.classify_ns,
+    "count_invariant_monomials vars": lambda bad: nsfamilies.count_invariant_monomials(bad, set(), 2),
+    "count_invariant_monomials degree": lambda bad: nsfamilies.count_invariant_monomials(3, set(), bad),
+    "det_square_class_obstruction": nsfamilies.det_square_class_obstruction,
+}
+
+
+@pytest.mark.parametrize("bad", [8.0, 1.5, "1.5", "1e3", None],
+                         ids=["float-8.0", "float-1.5", "text-1.5", "text-1e3", "None"])
+@pytest.mark.parametrize("reader", _OUTSIDE_NUMBER_READERS)
+def test_public_readers_refuse_floats_and_inexact_text(reader, bad):
+    # each once returned a float, truncated it or raised a bare TypeError
+    with pytest.raises(BadInputError):
+        _OUTSIDE_NUMBER_READERS[reader](bad)
+
+
+def test_public_readers_read_integral_fractions_and_text_by_the_one_rule():
+    form = _nikulin_form()
+    assert form.reduce(["3", Fraction(4, 2), 0, 0, 0, -1]) == (1, 0, 0, 0, 0, 1)
+    assert form.q(["1", 0, 0, 0, 0, 0]) == form.q(_ELEMENT)
+    assert nsfamilies.polarization(Fraction(8), "tilde") == nsfamilies.polarization(8, "tilde")
+    assert nsfamilies.eigenspace_dimensions("8") == nsfamilies.eigenspace_dimensions(8)
+    assert e8(-1).norm([Fraction(1, 2)] + [0] * 7) == Fraction(-1, 2)
 
 
 def test_gamma16_embedding_builds_no_fraction():

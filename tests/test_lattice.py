@@ -311,7 +311,7 @@ def test_enumerate_roots_of_e8():
 
 
 def test_enumerate_norms_in_twisted_e8():
-    assert enumerate_vectors_of_norm(e8(-2), -2) == []
+    assert enumerate_vectors_of_norm(e8(-2), -2) == ()
     assert len(enumerate_vectors_of_norm(e8(-2), -4)) == 240
     assert len(enumerate_vectors_of_norm(e8(-2), -8)) == 2160
 

@@ -131,4 +131,4 @@ def test_short_vectors_come_in_sign_pairs(lat, norm):
     for v in vectors:
         assert tuple(-c for c in v) in seen
         assert lat.norm(list(v)) == norm
-    assert vectors == sorted(vectors)
+    assert list(vectors) == sorted(vectors)

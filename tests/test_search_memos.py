@@ -2,14 +2,16 @@
 and the one record of facts per Gram.
 
 Each memo sits behind a public function that validates its input and keys
-the memo on the validated data only.  A hit must equal a cold result, a
-caller may change what it was handed, and a refused input raises on every
-call, also after the same valid input was cached.  A search result too
-large to keep is returned without being kept.  Lattices with one Gram share
-that Gram's record, whatever their labels and names.
+the memo on the validated data only.  A hit must equal a cold result, it is
+the very value the first call handed out, which no caller can change, and a
+refused input raises on every call, also after the same valid input was
+cached.  A search result too large to keep is returned without being kept.
+Lattices with one Gram share that Gram's record, whatever their labels and
+names.
 """
 
-import copy
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -98,32 +100,39 @@ def test_a_hit_equals_a_cold_result(name):
     assert warm == cold
 
 
-@pytest.mark.parametrize("name", ["vectors", "orbits"])
-def test_changing_a_result_leaves_the_next_one_unchanged(name):
+def _immutable(value) -> bool:
+    """Whether value is an int, or a tuple of immutable values all the way down."""
+    return type(value) is int or (type(value) is tuple and all(map(_immutable, value)))
+
+
+@pytest.mark.parametrize("name", ["vectors", "orbits", "smith"])
+def test_a_hit_is_the_kept_value_and_no_caller_can_change_it(name):
     call, _, cases = MEMOS[name]
     for args in cases():
         first = call(*args)
-        expected = copy.deepcopy(first)
-        for item in first:
-            if isinstance(item, list):
-                item.clear()
-        first.append(first[0] if first else ())
-        assert call(*args) == expected
+        assert call(*args) is first
+        assert _immutable(first)
+        with pytest.raises(TypeError):
+            first[0] = ()
 
 
-def test_each_smith_form_is_new_lists_the_caller_may_change():
-    for (mat,) in _smith_cases():
-        first = linalg.smith_normal_form(mat)
-        expected = copy.deepcopy(first)
-        second = linalg.smith_normal_form(mat)
-        assert second == expected
-        assert all(a is not b for a, b in zip(first, second))
-        assert all(r is not s for a, b in zip(first, second) for r, s in zip(a, b))
-        for part in first:
-            for row in part:
-                row[:] = [x + 1 for x in row]
-            part.append([7])
-        assert linalg.smith_normal_form(mat) == expected
+def test_a_partition_is_kept_by_gram_and_outlives_the_record_of_its_form():
+    # the memo keys on the parent's Gram and the generators, not on the form:
+    # a form built again after its Gram's record is dropped finds the partition
+    # the first form filled, and no memo keeps the first form
+    discforms._orbits.cache_clear()
+    lattice._gram_facts.cache_clear()
+    form = discriminant_form(e8(-2))
+    first = orbits_under_generators(form, e8_simple_reflections())
+    stale = weakref.ref(form)
+    del form
+    lattice._gram_facts.cache_clear()
+    gc.collect()
+    assert stale() is None
+    again = orbits_under_generators(discriminant_form(e8(-2)), e8_simple_reflections())
+    assert again is first
+    info = discforms._orbits.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_a_second_pass_runs_no_smith_elimination(monkeypatch):
