@@ -9,11 +9,19 @@ fixed input; the seeded checks take ``--seed``.
 A process executes only the layer modules its command uses: importing this
 module registers each layer in ``sys.modules`` through
 ``importlib.util.LazyLoader``, and a layer runs on the first attribute read
-(``lattice info`` runs ``errors``, ``linalg`` and ``lattice``; ``verify-paper``
-runs all of them).  Registering, rather than importing inside the handlers,
-keeps ``sys.modules["k3lat.<layer>"]`` filled for code outside the package
-that reads the layers from there after ``import k3lat.cli``.  The parser's
-choices and defaults live in ``lattice``, which every command runs anyway.
+(``lattice info`` runs ``errors``, ``linalg`` and ``lattice``; ``ell
+shioda-tate`` runs ``errors``, ``lattice`` and ``elliptic``; ``verify-paper``
+runs all of them).  That holds because a layer binds every other layer as a
+module (``from . import discforms``) and reads its names at the call
+(``discforms.lattice_fingerprint(...)``): a ``from .discforms import name``
+would run ``discforms`` as soon as the importing layer runs, whether the
+command calls it or not.  Registering, rather than importing inside the
+handlers, keeps ``sys.modules["k3lat.<layer>"]`` filled for code outside the
+package that reads the layers from there after ``import k3lat.cli``.  The
+parser's choices and defaults live in ``lattice``, which every command runs
+anyway.  The records on the ``lattice`` and ``ell`` paths are NamedTuples,
+and ``_jsonable`` tells a dataclass by its ``__dataclass_fields__``, so those
+commands never import ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ import argparse
 import importlib.util
 import json
 import sys
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import JsonInputError, K3LatError, UnsupportedError, decimal
 
@@ -54,8 +62,7 @@ linalg, polyfactor, lattice, discforms, gluing, involution, nsfamilies, elliptic
 )
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     status: str
     payload: object
     diagnostics: list[str]
@@ -70,8 +77,9 @@ def _jsonable(x):
     if isinstance(x, int) and x.bit_length() > 3 * sys.get_int_max_str_digits():
         decimal(x)  # json prints ints with str(); below 3n bits (2^(3n) < 10^n) they always fit
         return x
-    if is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+    names = getattr(type(x), "__dataclass_fields__", None)  # a dataclass, without importing dataclasses
+    if names is not None:
+        return {name: _jsonable(getattr(x, name)) for name in names}
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

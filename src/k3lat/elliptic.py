@@ -34,13 +34,11 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import linalg, polyfactor
+from . import discforms, lattice, linalg, polyfactor
 from .errors import BadInputError, UnsupportedError, decimal, require
-from .discforms import lattice_fingerprint
-from .lattice import Lattice, a_n, direct_sum, e8, hyperbolic_plane, nikulin, nikulin_node_coords
 
 
 class RatPoly:
@@ -278,8 +276,7 @@ def two_isogeny_quotient(f: WeierstrassFibration) -> WeierstrassFibration:
 ADDITIVE = "additive/unsupported"
 
 
-@dataclass(frozen=True)
-class FiberPlace:
+class FiberPlace(NamedTuple):
     factor: RatPoly | None  # the irreducible polynomial of the place, None at infinity
     order: int
     kodaira: str
@@ -298,9 +295,8 @@ class FiberPlace:
         return self.kodaira != ADDITIVE
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    places: list[FiberPlace] = field(default_factory=list)
+class FiberReport(NamedTuple):
+    places: list[FiberPlace]
 
     def weight(self, kodaira: str) -> int:
         """Total degree of the places carrying the given fiber type."""
@@ -425,10 +421,9 @@ def shioda_tate(fibers, torsion_order: int) -> tuple[int, Fraction]:
 # 2-torsion section bookkeeping in U + N
 
 
-@dataclass(frozen=True)
-class TorsionSectionReport:
+class TorsionSectionReport(NamedTuple):
     fibers: FiberReport
-    ns_lattice: Lattice
+    ns_lattice: lattice.Lattice
     tau: tuple[int, ...]
 
 
@@ -461,17 +456,18 @@ def _u_plus_n_section_data() -> dict:
     tau.f = 1 and tau.N_i = 1 for all eight nodes, and unless the section
     basis spans a lattice with the fingerprint of U + N.
     """
-    sigma_f = Lattice([[-2, 1], [1, 0]], ("sigma", "f"))  # sigma^2 = -2, sigma.f = 1
-    ns = direct_sum([sigma_f, nikulin()], name="U + N (section basis)")
+    sigma_f = lattice.Lattice([[-2, 1], [1, 0]], ("sigma", "f"))  # sigma^2 = -2, sigma.f = 1
+    ns = lattice.direct_sum([sigma_f, lattice.nikulin()], name="U + N (section basis)")
     tau = (1, 2, 0, 0, 0, 0, 0, 0, 0, -1)  # sigma + 2f - Nhat
     tau_list = list(tau)
     pairings = [("tau", tau_list, -2), ("sigma", [1] + [0] * 9, 0), ("f", [0, 1] + [0] * 8, 1)]
-    pairings += [(f"N_{i}", [0, 0] + nikulin_node_coords(i), 1) for i in range(1, 9)]
+    pairings += [(f"N_{i}", [0, 0] + lattice.nikulin_node_coords(i), 1) for i in range(1, 9)]
     for name, v, want in pairings:
         got = ns.inner(tau_list, v)
         require(got == want, f"2-torsion section: tau.{name} = {got}, not {want}")
-    fp_un = lattice_fingerprint(direct_sum([hyperbolic_plane(), nikulin()]))
-    require(lattice_fingerprint(ns) == fp_un, "2-torsion section: NS in the section basis is not U + N")
+    fingerprint = discforms.lattice_fingerprint
+    fp_un = fingerprint(lattice.direct_sum([lattice.hyperbolic_plane(), lattice.nikulin()]))
+    require(fingerprint(ns) == fp_un, "2-torsion section: NS in the section basis is not U + N")
     return dict(ns_lattice=ns, tau=tau)
 
 
@@ -506,14 +502,14 @@ def i16_component_permutation() -> tuple[int, ...]:
     require(set(image) == set(window_b), f"the I_16 shift sends window {window_a} to {image}")
 
     cycle = _cycle_gram(16)
-    a7 = a_n(7, -1).gram_rows()
-    fp_e8 = lattice_fingerprint(e8(-1))
+    a7 = lattice.a_n(7, -1).gram_rows()
+    fp_e8 = discforms.lattice_fingerprint(lattice.e8(-1))
     for window, meets in ((window_a, 0), (window_b, 8)):
         chain = [[cycle[i][j] for j in window] for i in window]
         require(chain == a7, f"I_16 window {window} is not an A_7(-1) chain")
         k = window.index(meets)
         g = [row + [int(r == k)] for r, row in enumerate(chain)]
         g.append([int(c == k) for c in range(7)] + [-2])  # the section is a (-2)-curve
-        fp = lattice_fingerprint(Lattice(g))
+        fp = discforms.lattice_fingerprint(lattice.Lattice(g))
         require(fp == fp_e8, f"I_16 window {window} with the section at C_{meets} is not E8(-1)")
     return perm

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInputError, NonIsotropicGlueError, NotDualVectorError, require
-from . import linalg
-from .discforms import _closure, discriminant_form
+from . import discforms, linalg
 from .lattice import (
     Lattice,
     direct_sum,
@@ -90,9 +89,9 @@ def glue(data: GlueData) -> Overlattice:
             raise NotDualVectorError(f"glue vector {v} is not in the dual lattice")
         pairings.append([x // den for x in gw])
 
-    form = discriminant_form(base)
+    form = discforms.discriminant_form(base)
     classes = [form._class_of_pairing(gw) for gw in pairings]
-    subgroup = _closure(form, classes)
+    subgroup = discforms._closure(form, classes)
     for elem in sorted(subgroup):
         if form.q_numerator(elem):
             raise NonIsotropicGlueError(
@@ -212,7 +211,7 @@ def nikulin_square_base() -> Lattice:
 
 def nikulin_square_glue_vectors() -> list[list[Fraction]]:
     """Diagonal glue (x, x) over generators of A_N; valid since q_N = -q_N."""
-    return [list(gen) * 2 for gen in discriminant_form(nikulin()).generators]
+    return [list(gen) * 2 for gen in discforms.discriminant_form(nikulin()).generators]
 
 
 def nikulin_square_overlattice() -> Overlattice:

@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadInputError, require
-from . import linalg
-from .discforms import lattice_fingerprint
-from .gluing import is_primitive, u2cubed_nikulin_overlattice
+from . import discforms, gluing, linalg
 from .lattice import (
     Lattice,
     direct_sum,
@@ -103,7 +101,7 @@ def invariant_and_antiinvariant(module: InvolutionModule) -> FixedSublattices:
     """Saturated ker(g - 1) and ker(g + 1), computed apart, both required primitive."""
     inv_basis, anti_basis = _eigen_kernels(module)
     for which, basis in (("invariant", inv_basis), ("anti-invariant", anti_basis)):
-        ok, torsion = is_primitive(module.lattice, basis)
+        ok, torsion = gluing.is_primitive(module.lattice, basis)
         require(ok, f"{which} sublattice is not primitive: cokernel {torsion}")
     gram = module.lattice.gram
     inv_lat = Lattice(linalg.pairing_matrix(inv_basis, gram))
@@ -152,7 +150,7 @@ class QuotientCohomology:
             [hyperbolic_plane(2)] * 3 + [nikulin(), e8(-1)],
             name="U(2)^3 + N + E8(-1)",
         )
-        self.overlattice = u2cubed_nikulin_overlattice()
+        self.overlattice = gluing.u2cubed_nikulin_overlattice()
         self.y_full = direct_sum(
             [self.overlattice.lattice, e8(-1)], name="H2(Y)"
         )
@@ -272,5 +270,5 @@ class QuotientCohomology:
             "checks": checks,
             "all_hold": True,
             "str": (inv.s, inv.t, inv.r),
-            "y_full_fingerprint": lattice_fingerprint(self.y_full),
+            "y_full_fingerprint": discforms.lattice_fingerprint(self.y_full),
         }

@@ -35,7 +35,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadInputError,
@@ -48,8 +48,7 @@ from .errors import (
 from . import linalg
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     positive: int
     negative: int
 

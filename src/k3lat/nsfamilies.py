@@ -17,11 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadInputError, NotPrimitiveError, require
-from . import linalg
-from .discforms import Fingerprint, lattice_fingerprint
-from .gluing import (_GLUE_PATTERN, GlueData, Overlattice, glue, is_primitive,
-                     nikulin_square_overlattice)
-from .involution import QuotientCohomology, k3_lattice
+from . import discforms, gluing, involution, linalg
 from .lattice import (
     _MODULI_EXAMPLES,
     Lattice,
@@ -40,7 +36,7 @@ class NSFamilyDescriptor:
     variant: str  # "plain" | "tilde"
     lattice: Lattice
     glue_vector: tuple[int, ...] | None = None  # E8(-2) coordinates, tilde only
-    overlattice: Overlattice | None = None
+    overlattice: gluing.Overlattice | None = None
 
 
 def _validate_two_d(two_d: int) -> int:
@@ -58,6 +54,7 @@ def plain_family(two_d: int) -> NSFamilyDescriptor:
 
 def glue_vector_norm_class(d: int) -> int:
     """Required v.v mod 8 for the index-2 overlattice: 4 if d=4m+2, 0 if d=4m."""
+    (d,) = linalg.exact_ints([d], "the half polarization degree d")
     if d % 2 != 0:
         raise BadInputError("the index-2 overlattice requires d even")
     return 4 if d % 4 == 2 else 0
@@ -86,10 +83,10 @@ def tilde_family(two_d: int, v=None) -> NSFamilyDescriptor:
         raise BadInputError(
             f"glue vector norm {norm} violates the parity condition for d = {d}"
         )
-    over = glue(GlueData(base, ((2, (1, *v)),)))  # (L + v) / 2; den 2 is least
+    over = gluing.glue(gluing.GlueData(base, ((2, (1, *v)),)))  # (L + v) / 2; den 2 is least
     require(over.glue_order == 2, f"{base.name} glued along v = {v}: index {over.glue_order}")
     e8_rows = [list(over.inclusion[i]) for i in range(1, 9)]
-    primitive, torsion = is_primitive(over.lattice, e8_rows)
+    primitive, torsion = gluing.is_primitive(over.lattice, e8_rows)
     if not primitive:
         raise NotPrimitiveError(f"E8(-2) is not primitive in the overlattice: {torsion}")
     lat = Lattice(over.lattice.gram, name=f"<{two_d}>~ + E8(-2)")
@@ -109,13 +106,13 @@ def classify_ns(two_d: int) -> list[NSFamilyDescriptor]:
 # transcendental fingerprints
 
 
-def transcendental_fingerprint(ambient: Lattice, ns_basis) -> Fingerprint:
+def transcendental_fingerprint(ambient: Lattice, ns_basis) -> discforms.Fingerprint:
     """Fingerprint of the orthogonal complement of a primitive sublattice."""
-    primitive, torsion = is_primitive(ambient, ns_basis)
+    primitive, torsion = gluing.is_primitive(ambient, ns_basis)
     if not primitive:
         raise NotPrimitiveError(f"embedding is not primitive: cokernel {torsion}")
     comp, _basis = orthogonal_complement(ambient, ns_basis)
-    return lattice_fingerprint(comp)
+    return discforms.lattice_fingerprint(comp)
 
 
 def k3_model_with_u_plus_n():
@@ -124,7 +121,7 @@ def k3_model_with_u_plus_n():
     U^3 plus the diagonal overlattice of N + N; returns (ambient, ns_basis)
     with ns = the first U and the first N.
     """
-    square = nikulin_square_overlattice()
+    square = gluing.nikulin_square_overlattice()
     ambient = direct_sum([hyperbolic_plane()] * 3 + [square.lattice], name="K3 model")
     got = (ambient.determinant, ambient.signature.as_pair())
     require(got == (-1, (3, 19)), f"K3 model with U + N: (det, signature) = {got}")
@@ -135,7 +132,7 @@ def k3_model_with_u_plus_n():
 
 def k3_model_morrison_nikulin(n: int):
     """(ambient, ns_basis) with ns = <2n> + E8(-1)^2 inside U^3 + E8(-1)^2."""
-    return k3_lattice(), [polarization(2 * n)] + linalg.identity_matrix(22)[6:]
+    return involution.k3_lattice(), [polarization(2 * n)] + linalg.identity_matrix(22)[6:]
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +204,9 @@ def eigenspace_dimensions(two_d: int, variant: str = "plain") -> EigenspaceRepor
     """
     two_d = _validate_two_d(two_d)
     lifted = polarization(two_d, variant) + [0] * 8
-    pushed = linalg.mat_vec(QuotientCohomology._build_push(), lifted)
+    pushed = linalg.mat_vec(involution.QuotientCohomology._build_push(), lifted)
     s = set()
-    for kind, copy, nodes in _GLUE_PATTERN:
+    for kind, copy, nodes in gluing._GLUE_PATTERN:
         if pushed[2 * (copy - 1) + (kind == "f")] % 2:
             s ^= set(nodes)
     f_minus = min(len(s), 8 - len(s))
@@ -246,7 +243,7 @@ def count_invariant_monomials(
         raise BadInputError("degree must be nonnegative")
     if parity not in ("invariant", "anti_invariant"):
         raise BadInputError('parity must be "invariant" or "anti_invariant"')
-    negated = set(negated)
+    negated = set(linalg.exact_ints(list(negated), "negated variable indices"))
     if any(i < 0 or i >= num_vars for i in negated):
         raise BadInputError("negated indices out of range")
     k = len(negated)
@@ -304,8 +301,8 @@ def moduli_dimension(example: str) -> int:
 class MorrisonNikulinReport:
     ns: Lattice
     transcendental: Lattice
-    ns_fingerprint: Fingerprint
-    t_fingerprint: Fingerprint
+    ns_fingerprint: discforms.Fingerprint
+    t_fingerprint: discforms.Fingerprint
 
 
 def morrison_nikulin_lattices(n: int) -> MorrisonNikulinReport:
@@ -313,4 +310,5 @@ def morrison_nikulin_lattices(n: int) -> MorrisonNikulinReport:
     ambient, ns_basis = k3_model_morrison_nikulin(n)
     ns = Lattice(linalg.pairing_matrix(ns_basis, ambient.gram))
     t, _basis = orthogonal_complement(ambient, ns_basis)
-    return MorrisonNikulinReport(ns, t, lattice_fingerprint(ns), lattice_fingerprint(t))
+    fingerprint = discforms.lattice_fingerprint
+    return MorrisonNikulinReport(ns, t, fingerprint(ns), fingerprint(t))

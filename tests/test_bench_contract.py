@@ -112,39 +112,57 @@ import contextlib, io, json, sys, types
 from k3lat import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["--json", *sys.argv[1:]]) if sys.argv[1:] else 0
-print(json.dumps({"code": code, "executed": sorted(
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules, "executed": sorted(
     name.partition(".")[2] for name, module in sys.modules.items()
     if name.startswith("k3lat.") and type(module) is types.ModuleType)}))
 """
 
+# every command runs ``lattice`` for the parser's choices and defaults
 _LATTICE = ["cli", "errors", "lattice", "linalg"]
 _K3 = ["cli", "discforms", "errors", "gluing", "involution", "lattice", "linalg"]
+_ELL = ["cli", "elliptic", "errors", "lattice", "linalg", "polyfactor"]
+_ZEROS = [0] * 30
 
 
 @pytest.mark.parametrize(
-    "argv, executed",
+    "argv, executed, dataclasses",
     [
-        ([], ["cli", "errors"]),
-        (["lattice", "info", "--std", "E8", "--twist", "-2"], _LATTICE),
-        (["disc", "--std", "NikulinN"], sorted(_LATTICE + ["discforms"])),
-        (["k3", "maps"], _K3),
-        (["ns", "classify", "--L2", "8"], sorted(_K3 + ["nsfamilies"])),
+        ([], ["cli", "errors"], False),
+        # the thirteen commands of the cli_oneshot workload
+        (["lattice", "info", "--std", "E8", "--twist", "-2"], _LATTICE, False),
+        (["lattice", "show", "--std", "An", "--param", "3", "--twist", "-2"], _LATTICE, False),
+        (["lattice", "roots", "--std", "E8", "--twist", "-1", "--norm", "-2"], _LATTICE, False),
+        (["disc", "--std", "NikulinN"], sorted(_LATTICE + ["discforms"]), True),
+        # a tilde family is glued, so it runs gluing and discforms, never involution
+        (["ns", "classify", "--L2", "8"],
+         ["cli", "discforms", "errors", "gluing", "lattice", "linalg", "nsfamilies"], True),
+        # read off the push and the glue pattern: no discriminant form
         (["ns", "moduli", "--example", "M8"],
-         ["cli", "discforms", "errors", "gluing", "involution", "lattice", "linalg",
-          "nsfamilies"]),
-        (["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"],
-         ["cli", "discforms", "elliptic", "errors", "lattice", "linalg", "polyfactor"]),
+         ["cli", "errors", "gluing", "involution", "lattice", "linalg", "nsfamilies"], True),
+        # 2^(d+2) alone
+        (["ns", "obstruction", "--rankT", "5"], sorted(_LATTICE + ["nsfamilies"]), True),
+        (["k3", "maps"], _K3, True),
+        (["k3", "push", "--vector", json.dumps(_ZEROS)], _K3, True),
+        (["k3", "pull", "--vector", json.dumps(_ZEROS[:22])], _K3, True),
+        (["ell", "fibers", "--a", "1,0,0,0,1", "--b", "1"], _ELL, False),
+        (["ell", "quotient", "--a", "1,0,0,0,1", "--b", "1"], _ELL, False),
+        # fiber counts multiplied: no factorization, no matrix
         (["ell", "shioda-tate", "--fibers", "I2:8,I1:8", "--torsion", "2"],
-         ["cli", "discforms", "elliptic", "errors", "lattice"]),
-        (["verify-paper"], sorted(_K3 + ["elliptic", "nsfamilies", "polyfactor", "verify"])),
+         ["cli", "elliptic", "errors", "lattice"], False),
+        (["verify-paper"], sorted(_K3 + ["elliptic", "nsfamilies", "polyfactor", "verify"]), True),
     ],
-    ids=["import", "lattice-info", "disc", "k3-maps", "ns-classify", "ns-moduli", "ell-fibers",
-         "ell-shioda-tate", "verify-paper"],
+    ids=["import", "lattice-info", "lattice-show", "lattice-roots", "disc", "ns-classify",
+         "ns-moduli", "ns-obstruction", "k3-maps", "k3-push", "k3-pull", "ell-fibers",
+         "ell-quotient", "ell-shioda-tate", "verify-paper"],
 )
-def test_each_command_executes_only_the_modules_it_uses(argv, executed):
+def test_each_command_executes_only_the_modules_it_uses(argv, executed, dataclasses):
     # the work counter of a cold start: a module registered lazily by the CLI
-    # becomes a plain ModuleType once something reads an attribute of it
-    assert _python(_EXECUTED, *argv) == {"code": 0, "executed": executed}
+    # becomes a plain ModuleType once something reads an attribute of it; a layer
+    # that binds another as a module (``from . import discforms``) leaves it
+    # unexecuted until a call reads it.  The lattice and ell commands keep
+    # their records in NamedTuples, so they never import dataclasses.
+    out = _python(_EXECUTED, *argv)
+    assert out == {"code": 0, "dataclasses": dataclasses, "executed": executed}
 
 
 _EXPORTS = """

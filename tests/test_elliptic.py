@@ -24,7 +24,7 @@ from k3lat import (
     torsion_section_translation_data,
     two_isogeny_quotient,
 )
-from k3lat import elliptic, verify
+from k3lat import elliptic, lattice, verify
 from k3lat.elliptic import (
     ADDITIVE,
     _cycle_gram,
@@ -394,7 +394,7 @@ def test_torsion_section_report(monkeypatch):
     assert lattice_fingerprint(ns) == lattice_fingerprint(direct_sum([hyperbolic_plane(), nikulin()]))
     # the cached section data checks itself: wrong node classes fail naming the pairing
     elliptic._u_plus_n_section_data.cache_clear()
-    monkeypatch.setattr(elliptic, "nikulin_node_coords", lambda i: [0] * 8)
+    monkeypatch.setattr(lattice, "nikulin_node_coords", lambda i: [0] * 8)
     try:
         with pytest.raises(CheckFailed, match=r"tau\.N_1 = 0, not 1"):
             torsion_section_translation_data(fib)

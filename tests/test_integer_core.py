@@ -559,6 +559,9 @@ _OUTSIDE_NUMBER_READERS = {
     "classify_ns": nsfamilies.classify_ns,
     "count_invariant_monomials vars": lambda bad: nsfamilies.count_invariant_monomials(bad, set(), 2),
     "count_invariant_monomials degree": lambda bad: nsfamilies.count_invariant_monomials(3, set(), bad),
+    "count_invariant_monomials negated": lambda bad: nsfamilies.count_invariant_monomials(3, {bad}, 2),
+    "glue_vector_norm_class": nsfamilies.glue_vector_norm_class,
+    "canonical_glue_vector": nsfamilies.canonical_glue_vector,
     "det_square_class_obstruction": nsfamilies.det_square_class_obstruction,
 }
 
@@ -578,6 +581,9 @@ def test_public_readers_read_integral_fractions_and_text_by_the_one_rule():
     assert form.q(["1", 0, 0, 0, 0, 0]) == form.q(_ELEMENT)
     assert nsfamilies.polarization(Fraction(8), "tilde") == nsfamilies.polarization(8, "tilde")
     assert nsfamilies.eigenspace_dimensions("8") == nsfamilies.eigenspace_dimensions(8)
+    assert nsfamilies.glue_vector_norm_class("4") == nsfamilies.glue_vector_norm_class(4) == 0
+    assert nsfamilies.canonical_glue_vector("6") == nsfamilies.canonical_glue_vector(6)
+    assert nsfamilies.count_invariant_monomials(3, {"1", Fraction(2)}, 2) == 4
     assert e8(-1).norm([Fraction(1, 2)] + [0] * 7) == Fraction(-1, 2)
 
 
